@@ -35,11 +35,10 @@
 // -fleet-wal (quarantining corrupt ones rather than refusing to start),
 // every mutation appends to a checksummed segment, segments rotate past
 // -fleet-wal-segment-bytes, and every -fleet-compact-interval (and on
-// graceful shutdown) the log is compacted into a fresh snapshot. A
-// pre-segmentation single-file WAL at the -fleet-wal path is migrated
-// automatically. If the disk fails (ENOSPC, fsync errors) actd degrades
-// to read-only — /readyz turns 503, writes answer the `degraded` error
-// code — and heals itself once the compactor's probe succeeds.
+// graceful shutdown) the log is compacted into a fresh snapshot. If the
+// disk fails (ENOSPC, fsync errors) actd degrades to read-only — /readyz
+// turns 503, writes answer the `degraded` error code — and heals itself
+// once the compactor's probe succeeds.
 //
 // With -cluster-peers (the full membership, this member included) and
 // -cluster-self (this member's own base URL from that list) actd runs as
@@ -58,7 +57,9 @@
 // /metrics (act_export_* series).
 //
 // Overload is shed before work is accepted: beyond -max-inflight running
-// requests plus -max-queue waiters, requests get 429 with Retry-After.
+// requests plus -max-queue waiters, requests get 429 with Retry-After. A
+// request that hits a transient fault is retried whole: -retries N means
+// N attempts per request, first try included.
 // SIGINT/SIGTERM start a graceful drain: new requests get 503, in-flight
 // requests finish (up to -grace), the exporter emits one final tick and
 // drains its queue, then the process exits.
@@ -89,7 +90,7 @@ func main() {
 		grace      = flag.Duration("grace", 15*time.Second, "shutdown drain deadline")
 		maxInFl    = flag.Int("max-inflight", 0, "max concurrently running requests (0 = default 256, negative disables admission control)")
 		maxQueue   = flag.Int("max-queue", 0, "max requests waiting for a slot (0 = default 2x max-inflight)")
-		retries    = flag.Int("retries", 0, "attempts per transient-fault retry loop (0 = default 3, 1 disables retries)")
+		retries    = flag.Int("retries", 0, "attempts per request on transient faults, first try included (0 = default 3, 1 disables retries)")
 		brkThresh  = flag.Int("breaker-threshold", 0, "consecutive 5xx before a handler's breaker opens (0 = default 5, negative disables)")
 		brkOpenFor = flag.Duration("breaker-open", 0, "how long an open breaker rejects before probing (0 = default 5s)")
 		flShards   = flag.Int("fleet-shards", 0, "fleet registry shard count (0 = default 64)")

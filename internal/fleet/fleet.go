@@ -280,7 +280,7 @@ type Registry struct {
 	// install). A staged recompute remembers the generation it priced and
 	// restages at commit if mutations landed in between.
 	gen atomic.Uint64
-	log WALAppender // nil until AttachLog/AttachWAL
+	log WALAppender // nil until AttachWAL
 }
 
 // New builds an empty registry.

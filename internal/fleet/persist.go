@@ -5,7 +5,6 @@
 //	<SnapshotPath>             enveloped snapshot (below)
 //	<WALDir>/wal-…0042.seg     WAL segments (walseg.go)
 //	<WALDir>/…seg.quarantine   corrupt segments, renamed aside, never deleted
-//	<WALDir>/legacy.wal        pre-segmentation WAL, during migration only
 //
 // The snapshot file is the PR-4 self-checksummed registry snapshot
 // ("ACTFLEET", snapshot.go) wrapped in a small envelope:
@@ -17,13 +16,14 @@
 // It is what makes compaction crash-safe: segments below the floor are
 // replayed by no one and deleted on sight, so a crash between the
 // snapshot rename and the segment deletion cannot double-apply history.
-// flags bit0 records that any migrated legacy WAL is folded in.
+// flags is envFlags in store snapshots and 0 in shipped ones (ship.go);
+// readers ignore it.
 //
 // Checkpoint ordering (all under the registry write lock, so no append
 // can interleave): rotate the WAL — the new active segment's seq is the
 // floor — then stream the snapshot to a temp file, fsync, rename over
 // the live snapshot, fsync the directory. Only after all of that do the
-// covered segments (and the legacy WAL) get deleted.
+// covered segments get deleted.
 //
 // Recovery replays the snapshot, drops sub-floor segments, then replays
 // segments in sequence order. A corrupt segment is quarantined — renamed
@@ -37,8 +37,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -53,12 +53,10 @@ import (
 const (
 	envMagic   = "ACTDSNAP"
 	envVersion = 1
-	// envFlagLegacyCovered: the snapshot includes everything a migrated
-	// legacy WAL held, so recovery must not replay legacy.wal.
-	envFlagLegacyCovered = 1
-	// legacyWALName is where a pre-segmentation single-file WAL lands
-	// inside WALDir during migration.
-	legacyWALName = "legacy.wal"
+	// envFlags is the envelope's flags byte. Bit 0 once told readers that
+	// no older single-file WAL needed replaying; writers keep setting it
+	// so snapshots stay readable by binaries that still check it.
+	envFlags = 1
 )
 
 // StoreConfig wires a durable Store.
@@ -67,8 +65,7 @@ type StoreConfig struct {
 	FS vfs.FS
 	// SnapshotPath is the enveloped snapshot file.
 	SnapshotPath string
-	// WALDir holds the WAL segments. If the path names a regular file, it
-	// is treated as a pre-segmentation WAL and migrated in place.
+	// WALDir holds the WAL segments.
 	WALDir string
 	// SegmentBytes is the rotation threshold (default DefaultSegmentBytes).
 	SegmentBytes int64
@@ -122,23 +119,15 @@ func OpenStore(ctx context.Context, reg *Registry, cfg StoreConfig) (*Store, err
 	}
 	s := &Store{cfg: cfg, fs: cfg.FS, reg: reg}
 
-	if err := s.migrateLegacyWAL(); err != nil {
-		return nil, err
-	}
 	if err := s.fs.MkdirAll(cfg.WALDir); err != nil {
 		return nil, fmt.Errorf("fleet: store: %w", err)
 	}
 
-	floor, legacyCovered, err := s.loadSnapshot()
+	floor, err := s.loadSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	s.floor.Store(floor)
-	if !legacyCovered {
-		if err := s.replayLegacy(ctx); err != nil {
-			return nil, err
-		}
-	}
 	w, err := s.recoverSegments(ctx, floor)
 	if err != nil {
 		return nil, err
@@ -148,105 +137,47 @@ func OpenStore(ctx context.Context, reg *Registry, cfg StoreConfig) (*Store, err
 	return s, nil
 }
 
-// migrateLegacyWAL converts a pre-segmentation layout — WALDir naming a
-// regular WAL file — into the directory layout, preserving the old WAL
-// as WALDir/legacy.wal for recovery to replay.
-func (s *Store) migrateLegacyWAL() error {
-	fi, err := s.fs.Stat(s.cfg.WALDir)
-	if err != nil || fi.IsDir {
-		return nil // absent or already a directory
-	}
-	tmp := s.cfg.WALDir + ".migrating"
-	if err := s.fs.Rename(s.cfg.WALDir, tmp); err != nil {
-		return fmt.Errorf("fleet: wal migration: %w", err)
-	}
-	if err := s.fs.MkdirAll(s.cfg.WALDir); err != nil {
-		return fmt.Errorf("fleet: wal migration: %w", err)
-	}
-	if err := s.fs.Rename(tmp, path.Join(s.cfg.WALDir, legacyWALName)); err != nil {
-		return fmt.Errorf("fleet: wal migration: %w", err)
-	}
-	if err := s.fs.SyncDir(path.Dir(s.cfg.WALDir)); err != nil {
-		return fmt.Errorf("fleet: wal migration: %w", err)
-	}
-	if err := s.fs.SyncDir(s.cfg.WALDir); err != nil {
-		return fmt.Errorf("fleet: wal migration: %w", err)
-	}
-	s.cfg.Logf("fleet: migrated single-file wal into %s/%s", s.cfg.WALDir, legacyWALName)
-	return nil
-}
-
 // loadSnapshot restores the enveloped snapshot if one exists. A corrupt
 // snapshot (bad envelope, bad checksum, truncated body) is a fatal open
 // error: recovery has no state to stand on.
-func (s *Store) loadSnapshot() (floor uint64, legacyCovered bool, err error) {
+func (s *Store) loadSnapshot() (floor uint64, err error) {
 	f, err := s.fs.Open(s.cfg.SnapshotPath)
 	if err != nil {
-		return 0, false, nil // no snapshot yet: empty state, replay everything
+		return 0, nil // no snapshot yet: empty state, replay everything
 	}
 	defer f.Close()
 
-	magic := make([]byte, 8)
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return 0, false, fmt.Errorf("fleet: snapshot %s: %w", s.cfg.SnapshotPath, err)
+	if floor, err = readEnvelope(f, "snapshot "+s.cfg.SnapshotPath); err != nil {
+		return 0, err
 	}
-	var body io.Reader
-	switch string(magic) {
-	case envMagic:
-		rest := make([]byte, 4+8+1+8)
-		if _, err := io.ReadFull(f, rest); err != nil {
-			return 0, false, fmt.Errorf("fleet: snapshot envelope: %w", err)
-		}
-		d := &reader{r: bytes.NewReader(rest)}
-		version := d.u32()
-		floor = d.u64()
-		flagBuf := make([]byte, 1)
-		if _, err := io.ReadFull(d.r, flagBuf); err != nil {
-			return 0, false, fmt.Errorf("fleet: snapshot envelope: %w", err)
-		}
-		sum := d.u64()
-		if d.err != nil {
-			return 0, false, fmt.Errorf("fleet: snapshot envelope: %w", d.err)
-		}
-		if version != envVersion {
-			return 0, false, fmt.Errorf("fleet: snapshot envelope version %d unsupported", version)
-		}
-		hdr := append(append([]byte{}, magic...), rest[:4+8+1]...)
-		if fnvAdd(fnvOffset64, hdr) != sum {
-			return 0, false, errors.New("fleet: snapshot envelope checksum mismatch")
-		}
-		legacyCovered = flagBuf[0]&envFlagLegacyCovered != 0
-		body = f
-	case snapshotMagic:
-		// Pre-envelope snapshot from the single-file-WAL era: floor 0, and
-		// the legacy WAL (if any) holds operations newer than this.
-		body = io.MultiReader(bytes.NewReader(magic), f)
-	default:
-		return 0, false, fmt.Errorf("fleet: snapshot %s: unrecognized magic %q", s.cfg.SnapshotPath, magic)
-	}
-	stale, err := s.reg.Restore(body)
+	stale, err := s.reg.Restore(f)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	s.stale = stale
-	return floor, legacyCovered, nil
+	return floor, nil
 }
 
-// replayLegacy replays a migrated single-file WAL, if present.
-func (s *Store) replayLegacy(ctx context.Context) error {
-	f, err := s.fs.Open(path.Join(s.cfg.WALDir, legacyWALName))
-	if err != nil {
-		return nil
+// readEnvelope reads and verifies the snapshot envelope at the head of rd
+// and returns its WAL floor; the ACTFLEET body follows. The flags byte
+// carries nothing a reader needs, so only the checksum looks at it. what
+// names the stream in errors.
+func readEnvelope(rd io.Reader, what string) (floor uint64, err error) {
+	hdr := make([]byte, len(envMagic)+4+8+1+8)
+	if _, err := io.ReadFull(rd, hdr); err != nil {
+		return 0, fmt.Errorf("fleet: %s envelope: %w", what, err)
 	}
-	defer f.Close()
-	applied, _, err := s.reg.Replay(ctx, f)
-	if err != nil {
-		return fmt.Errorf("fleet: legacy wal: %w", err)
+	if magic := hdr[:len(envMagic)]; string(magic) != envMagic {
+		return 0, fmt.Errorf("fleet: %s envelope: unrecognized magic %q", what, magic)
 	}
-	if applied > 0 {
-		s.cfg.Logf("fleet: replayed %d operations from legacy wal", applied)
+	le := binary.LittleEndian
+	if version := le.Uint32(hdr[8:]); version != envVersion {
+		return 0, fmt.Errorf("fleet: %s envelope version %d unsupported", what, version)
 	}
-	return nil
+	if fnvAdd(fnvOffset64, hdr[:21]) != le.Uint64(hdr[21:]) {
+		return 0, fmt.Errorf("fleet: %s envelope checksum mismatch", what)
+	}
+	return le.Uint64(hdr[12:]), nil
 }
 
 // envelopeHeader builds the snapshot envelope.
@@ -447,7 +378,7 @@ func (s *Store) Checkpoint() error {
 		if err != nil {
 			return fmt.Errorf("fleet: checkpoint: %w", err)
 		}
-		if _, err = f.Write(envelopeHeader(floor, envFlagLegacyCovered)); err == nil {
+		if _, err = f.Write(envelopeHeader(floor, envFlags)); err == nil {
 			err = snapshot(f)
 		}
 		if err == nil {
@@ -474,18 +405,7 @@ func (s *Store) Checkpoint() error {
 	}
 	// The snapshot is durable; history below the floor is dead weight.
 	s.floor.Store(floor)
-	if err := s.w.DropBelow(floor); err != nil {
-		return err
-	}
-	if _, err := s.fs.Stat(path.Join(s.cfg.WALDir, legacyWALName)); err == nil {
-		if err := s.fs.Remove(path.Join(s.cfg.WALDir, legacyWALName)); err != nil {
-			return fmt.Errorf("fleet: checkpoint: %w", err)
-		}
-		if err := s.fs.SyncDir(s.cfg.WALDir); err != nil {
-			return fmt.Errorf("fleet: checkpoint: %w", err)
-		}
-	}
-	return nil
+	return s.w.DropBelow(floor)
 }
 
 // Probe tries to lift degraded mode: discard the broken WAL tail and

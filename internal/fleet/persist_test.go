@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +14,7 @@ import (
 
 	"act/internal/report"
 	"act/internal/units"
+	"act/internal/vfs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -219,71 +222,107 @@ func walScript(t *testing.T, reg *Registry) {
 	}
 }
 
+// TestWALReplay: the write-ahead history alone — inserts, replacements
+// and removes across several segments, no snapshot — reopens onto the
+// in-memory state byte-identically.
 func TestWALReplay(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 8})
-	reg.AttachLog(&log)
+	m := vfs.NewMemFS()
+	reg, st := openTestStore(t, m, 1024)
+	oracle := New(Config{Shards: 8})
 	walScript(t, reg)
+	walScript(t, oracle)
+	if n := st.WALSegments(); n < 2 {
+		t.Fatalf("want a multi-segment history at 1KiB rotation, got %d segments", n)
+	}
 
-	reg2 := New(Config{Shards: 8})
-	applied, offset, err := reg2.Replay(context.Background(), bytes.NewReader(log.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 30+5+5 {
-		t.Fatalf("replayed %d operations, want 40", applied)
-	}
-	if offset != int64(log.Len()) {
-		t.Fatalf("consumed offset %d, want the full log %d", offset, log.Len())
-	}
-	if a, b := summaryBytes(t, reg), summaryBytes(t, reg2); !bytes.Equal(a, b) {
+	reg2, _ := reopen(t, m, 1024)
+	if a, b := summaryBytes(t, oracle), summaryBytes(t, reg2); !bytes.Equal(a, b) {
 		t.Fatalf("replayed summary differs:\n%s\nwant:\n%s", b, a)
 	}
+	if reg2.Len() != oracle.Len() {
+		t.Fatalf("replayed %d devices, want %d", reg2.Len(), oracle.Len())
+	}
 }
 
-func TestWALTornTail(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 4})
-	reg.AttachLog(&log)
-	if _, err := reg.Upsert(testDevice("a", 0, "united-states")); err != nil {
-		t.Fatal(err)
+// segmentBytes returns the raw bytes of the store's single WAL segment
+// and its sequence number.
+func segmentBytes(t *testing.T, m *vfs.MemFS) ([]byte, uint64) {
+	t.Helper()
+	names, err := m.ReadDir(testWALDir)
+	if err != nil || len(names) != 1 {
+		t.Fatalf("want one segment, got %v (%v)", names, err)
 	}
-	good := log.Len()
-	if _, err := reg.Upsert(testDevice("b", 1, "europe")); err != nil {
-		t.Fatal(err)
-	}
-	// Crash mid-append: the second frame is cut in half.
-	torn := log.Bytes()[:good+(log.Len()-good)/2]
-
-	reg2 := New(Config{Shards: 4})
-	applied, offset, err := reg2.Replay(context.Background(), bytes.NewReader(torn))
+	seq, _ := parseSegName(names[0])
+	f, err := m.Open(testWALDir + "/" + names[0])
 	if err != nil {
-		t.Fatalf("torn tail must be tolerated, got %v", err)
+		t.Fatal(err)
 	}
-	if applied != 1 || offset != int64(good) {
-		t.Fatalf("applied=%d offset=%d, want 1 and %d (the last complete frame)", applied, offset, good)
+	defer f.Close()
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if reg2.Len() != 1 {
-		t.Fatalf("Len after torn replay = %d, want 1", reg2.Len())
-	}
+	return raw, seq
 }
 
-func TestWALRejectsMidStreamCorruption(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 4})
-	reg.AttachLog(&log)
+// twoFrameSegment logs two upserts and returns the segment bytes, its
+// sequence number and the length of the header plus the first frame.
+func twoFrameSegment(t *testing.T) (raw []byte, seq uint64, firstEnd int) {
+	t.Helper()
+	m := vfs.NewMemFS()
+	reg, _ := openTestStore(t, m, 1<<20)
 	if _, err := reg.Upsert(testDevice("a", 0, "united-states")); err != nil {
 		t.Fatal(err)
 	}
-	first := log.Len()
+	first, _ := segmentBytes(t, m)
 	if _, err := reg.Upsert(testDevice("b", 1, "europe")); err != nil {
 		t.Fatal(err)
 	}
-	bad := bytes.Clone(log.Bytes())
-	bad[first/2] ^= 0x01 // inside the first frame: corruption, not a torn tail
+	raw, seq = segmentBytes(t, m)
+	return raw, seq, len(first)
+}
 
-	if _, _, err := New(Config{Shards: 4}).Replay(context.Background(), bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupted frame replayed")
+// TestWALTornTail: a frame cut short by a crash mid-append is a torn
+// tail, not corruption. Segment replay applies every complete frame and
+// reports the length just past the last good one.
+func TestWALTornTail(t *testing.T) {
+	raw, seq, good := twoFrameSegment(t)
+	torn := raw[:good+(len(raw)-good)/2]
+
+	reg := New(Config{Shards: 4})
+	res, err := reg.replaySegment(context.Background(), bytes.NewReader(torn), seq, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.corrupt != nil {
+		t.Fatalf("torn tail classified as corruption: %v", res.corrupt)
+	}
+	if res.applied != 1 || res.validLen != int64(good) {
+		t.Fatalf("applied=%d validLen=%d, want 1 and %d (the last complete frame)", res.applied, res.validLen, good)
+	}
+	if reg.Len() != 1 {
+		t.Fatalf("Len after torn replay = %d, want 1", reg.Len())
+	}
+}
+
+// TestWALRejectsMidStreamCorruption: a complete frame that fails its
+// checksum is corruption, reported by the validating scan before any
+// frame is applied.
+func TestWALRejectsMidStreamCorruption(t *testing.T) {
+	raw, seq, firstEnd := twoFrameSegment(t)
+	bad := bytes.Clone(raw)
+	bad[(segHeaderLen+firstEnd)/2] ^= 0x01 // inside the first frame
+
+	reg := New(Config{Shards: 4})
+	res, err := reg.replaySegment(context.Background(), bytes.NewReader(bad), seq, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res.corrupt, errCorruptFrame) {
+		t.Fatalf("corrupt = %v, want errCorruptFrame", res.corrupt)
+	}
+	if reg.Len() != 0 {
+		t.Fatal("the validating scan applied a frame")
 	}
 }
 
@@ -350,63 +389,92 @@ func TestRecomputeFailureLeavesStateIntact(t *testing.T) {
 	}
 }
 
-// TestWALRecomputeMarker: a logged recompute replays as a recompute, so a
-// log written after a model-table change reproduces the repriced state.
+// TestWALRecomputeMarker: a logged recompute replays as a recompute, so
+// a log written before a model-table change reproduces the repriced
+// state. The history is written under one resolver and replayed under
+// another: the upserts apply verbatim, and only the recompute marker can
+// reprice them.
 func TestWALRecomputeMarker(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 4})
-	reg.AttachLog(&log)
-	for i := 0; i < 10; i++ {
-		if _, err := reg.Upsert(testDevice(fmt.Sprintf("dev-%d", i), i%3, "europe")); err != nil {
+	doubled := func(region string) (units.CarbonIntensity, error) {
+		ci, err := StaticRegions()(region)
+		return 2 * ci, err
+	}
+	open := func(m *vfs.MemFS, resolver IntensityResolver) (*Registry, *Store) {
+		reg := New(Config{Shards: 4, Resolver: resolver})
+		st, err := OpenStore(context.Background(), reg, StoreConfig{
+			FS: m, SnapshotPath: testSnapPath, WALDir: testWALDir, Logf: t.Logf,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return reg, st
 	}
+	upsertTen := func(reg *Registry) {
+		for i := 0; i < 10; i++ {
+			if _, err := reg.Upsert(testDevice(fmt.Sprintf("dev-%d", i), i%3, "europe")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	m := vfs.NewMemFS()
+	reg, _ := open(m, nil)
+	upsertTen(reg)
 	if err := reg.Recompute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	stalePriced := summaryBytes(t, reg)
 
-	reg2 := New(Config{Shards: 4})
-	applied, _, err := reg2.Replay(context.Background(), bytes.NewReader(log.Bytes()))
-	if err != nil {
+	m.Crash()
+	reg2, _ := open(m, doubled)
+	oracle := New(Config{Shards: 4, Resolver: doubled})
+	upsertTen(oracle)
+	if err := oracle.Recompute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if applied != 11 {
-		t.Fatalf("replayed %d operations, want 11 (10 upserts + recompute)", applied)
+	want := summaryBytes(t, oracle)
+	if bytes.Equal(want, stalePriced) {
+		t.Fatal("the two resolvers price identically; the test cannot tell a replayed recompute")
 	}
-	if a, b := summaryBytes(t, reg), summaryBytes(t, reg2); !bytes.Equal(a, b) {
-		t.Fatalf("replayed summary differs:\n%s\nwant:\n%s", b, a)
+	if got := summaryBytes(t, reg2); !bytes.Equal(got, want) {
+		t.Fatalf("replayed summary differs:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-// TestCheckpoint: Checkpoint writes the snapshot and resets the log under
-// one lock, so snapshot + emptied log together reproduce the state.
+// TestCheckpoint: the snapshot a checkpoint writes plus the segments
+// after it reproduce the state, and the snapshot envelope carries the
+// flags byte older binaries expect.
 func TestCheckpoint(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 4})
-	reg.AttachLog(&log)
+	m := vfs.NewMemFS()
+	reg, st := openTestStore(t, m, 1<<20)
 	walScript(t, reg)
-
-	var snap bytes.Buffer
-	if err := reg.Checkpoint(&snap, func() error { log.Reset(); return nil }); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if log.Len() != 0 {
-		t.Fatalf("log not reset: %d bytes remain", log.Len())
-	}
-
-	// Post-checkpoint mutations land only in the fresh log.
+	// Post-checkpoint mutations land only in the fresh segment.
 	if _, err := reg.Upsert(testDevice("late", 9, "india")); err != nil {
 		t.Fatal(err)
 	}
+	if st.Floor() == 0 || st.WALSegments() != 1 {
+		t.Fatalf("floor=%d segments=%d, want a nonzero floor and one live segment", st.Floor(), st.WALSegments())
+	}
 
-	reg2 := New(Config{Shards: 4})
-	if _, err := reg2.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+	f, err := m.Open(testSnapPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reg2.Replay(context.Background(), bytes.NewReader(log.Bytes())); err != nil {
+	hdr := make([]byte, len(envMagic)+4+8+1)
+	_, err = io.ReadFull(f, hdr)
+	f.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if flags := hdr[len(hdr)-1]; flags != envFlags {
+		t.Fatalf("snapshot envelope flags = %#x, want %#x", flags, envFlags)
+	}
+
+	reg2, _ := reopen(t, m, 1<<20)
 	if a, b := summaryBytes(t, reg), summaryBytes(t, reg2); !bytes.Equal(a, b) {
-		t.Fatalf("snapshot+log summary differs:\n%s\nwant:\n%s", b, a)
+		t.Fatalf("snapshot+wal summary differs:\n%s\nwant:\n%s", b, a)
 	}
 }

@@ -11,8 +11,6 @@
 package fleet
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -32,28 +30,8 @@ func (r *Registry) WriteShip(w io.Writer, floor uint64) error {
 // different model tables than this binary carries (stale → the caller
 // should Recompute before serving).
 func (r *Registry) ReadShip(rd io.Reader) (floor uint64, stale bool, err error) {
-	hdr := make([]byte, 8+4+8+1+8)
-	if _, err := io.ReadFull(rd, hdr); err != nil {
-		return 0, false, fmt.Errorf("fleet: ship envelope: %w", err)
-	}
-	if string(hdr[:8]) != envMagic {
-		return 0, false, fmt.Errorf("fleet: ship envelope: unrecognized magic %q", hdr[:8])
-	}
-	d := &reader{r: bytes.NewReader(hdr[8:])}
-	version := d.u32()
-	floor = d.u64()
-	if _, err := io.CopyN(io.Discard, d.r, 1); err != nil { // flags
-		return 0, false, fmt.Errorf("fleet: ship envelope: %w", err)
-	}
-	sum := d.u64()
-	if d.err != nil {
-		return 0, false, fmt.Errorf("fleet: ship envelope: %w", d.err)
-	}
-	if version != envVersion {
-		return 0, false, fmt.Errorf("fleet: ship envelope version %d unsupported", version)
-	}
-	if fnvAdd(fnvOffset64, hdr[:8+4+8+1]) != sum {
-		return 0, false, errors.New("fleet: ship envelope checksum mismatch")
+	if floor, err = readEnvelope(rd, "ship"); err != nil {
+		return 0, false, err
 	}
 	stale, err = r.Restore(rd)
 	return floor, stale, err

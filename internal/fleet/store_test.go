@@ -246,77 +246,6 @@ func TestStoreTornActiveTailAdopted(t *testing.T) {
 	}
 }
 
-// Migration: a pre-segmentation layout (bare snapshot file + single-file
-// WAL at the WALDir path) opens cleanly, replays the old WAL, and the
-// first checkpoint retires it.
-func TestStoreLegacyMigration(t *testing.T) {
-	m := vfs.NewMemFS()
-	oracle := New(Config{Shards: 8})
-	storeFleet(t, oracle, nil, 12)
-
-	// Old-style snapshot: the bare ACTFLEET stream, no envelope.
-	if err := m.MkdirAll("data"); err != nil {
-		t.Fatal(err)
-	}
-	sf, err := m.Create(testSnapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.Snapshot(sf); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	_ = sf.Close()
-
-	// Old-style WAL: frames straight into the file that is now WALDir.
-	var walBuf bytes.Buffer
-	oracle.AttachLog(&walBuf)
-	late := testDevice("legacy-late", 3, "europe")
-	if _, err := oracle.Upsert(late); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.Remove("dev-01"); err != nil {
-		t.Fatal(err)
-	}
-	oracle.AttachLog(nil)
-	wf, err := m.Create(testWALDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wf.Write(walBuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := wf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	_ = wf.Close()
-	if err := m.SyncDir("data"); err != nil {
-		t.Fatal(err)
-	}
-
-	want := summaryBytes(t, oracle)
-	reg, st := openTestStore(t, m, 2048)
-	if got := summaryBytes(t, reg); !bytes.Equal(got, want) {
-		t.Fatal("migrated recovery not byte-identical to legacy state")
-	}
-	if _, err := m.Stat(testWALDir + "/" + legacyWALName); err != nil {
-		t.Fatalf("legacy wal not preserved in migrated dir: %v", err)
-	}
-
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Stat(testWALDir + "/" + legacyWALName); err == nil {
-		t.Fatal("legacy wal survived the checkpoint that covers it")
-	}
-	reg2, _ := reopen(t, m, 2048)
-	if got := summaryBytes(t, reg2); !bytes.Equal(got, want) {
-		t.Fatal("post-migration checkpoint recovery diverged")
-	}
-}
-
 // ENOSPC in the middle of a checkpoint must leave the previous snapshot
 // and the full WAL as the durable truth: the tmp+rename dance never
 // exposes a partial snapshot, the store stays healthy and writable.

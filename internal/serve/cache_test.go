@@ -2,192 +2,77 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
+
+	"act/internal/scenario"
 )
 
 func TestCacheHitAndEviction(t *testing.T) {
 	c := NewCache[int](2)
-	ctx := context.Background()
-	calls := 0
-	get := func(key string) (int, bool) {
-		v, hit, err := c.Do(ctx, key, func(context.Context) (int, error) {
-			calls++
-			return len(key), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v, hit
+	if _, hit := c.Get("a"); hit {
+		t.Fatal("empty cache reported a hit")
 	}
-
-	if v, hit := get("a"); v != 1 || hit {
-		t.Fatalf("first get = (%d, %v), want (1, miss)", v, hit)
+	c.Put("a", 1)
+	if v, hit := c.Get("a"); v != 1 || !hit {
+		t.Fatalf("Get(a) = (%d, %v), want (1, hit)", v, hit)
 	}
-	if v, hit := get("a"); v != 1 || !hit {
-		t.Fatalf("second get = (%d, %v), want (1, hit)", v, hit)
-	}
-	get("bb")
-	get("a")   // refresh a: now bb is the LRU entry
-	get("ccc") // evicts bb, keeps the recently-used a
+	c.Put("bb", 2)
+	c.Get("a")      // refresh a: now bb is the LRU entry
+	c.Put("ccc", 3) // evicts bb, keeps the recently-used a
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if _, hit := get("a"); !hit {
+	if _, hit := c.Get("a"); !hit {
 		t.Error("a should have survived (recently used)")
 	}
-	if _, hit := get("bb"); hit {
+	if _, hit := c.Get("bb"); hit {
 		t.Error("bb should have been evicted")
 	}
-	if calls != 4 {
-		t.Errorf("fn ran %d times, want 4", calls)
+	c.Put("a", 4) // overwrite in place, no eviction
+	if v, _ := c.Get("a"); v != 4 || c.Len() != 2 {
+		t.Errorf("after overwrite Get(a) = %d len = %d, want 4 and 2", v, c.Len())
 	}
 }
 
 func TestCacheDisabledResidency(t *testing.T) {
 	c := NewCache[int](-1)
-	ctx := context.Background()
-	calls := 0
 	for i := 0; i < 3; i++ {
-		_, hit, err := c.Do(ctx, "k", func(context.Context) (int, error) { calls++; return 7, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit {
+		c.Put("k", 7)
+		if _, hit := c.Get("k"); hit {
 			t.Error("disabled cache reported a residency hit")
 		}
 	}
-	if calls != 3 || c.Len() != 0 {
-		t.Errorf("calls = %d len = %d, want 3 and 0", calls, c.Len())
-	}
-}
-
-func TestCacheSingleflightCoalesce(t *testing.T) {
-	c := NewCache[int](8)
-	ctx := context.Background()
-	var calls atomic.Int64
-	release := make(chan struct{})
-	started := make(chan struct{})
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	hits := atomic.Int64{}
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, hit, err := c.Do(ctx, "k", func(context.Context) (int, error) {
-				calls.Add(1)
-				close(started)
-				<-release
-				return 42, nil
-			})
-			if err != nil || v != 42 {
-				t.Errorf("Do = (%d, %v)", v, err)
-			}
-			if hit {
-				hits.Add(1)
-			}
-		}()
-	}
-	<-started
-	close(release)
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Errorf("fn ran %d times, want 1 (singleflight)", calls.Load())
-	}
-	if hits.Load() != waiters-1 {
-		t.Errorf("%d hits, want %d (every waiter but the leader)", hits.Load(), waiters-1)
-	}
-}
-
-func TestCacheErrorNotCached(t *testing.T) {
-	c := NewCache[int](8)
-	ctx := context.Background()
-	boom := errors.New("boom")
-	_, hit, err := c.Do(ctx, "k", func(context.Context) (int, error) { return 0, boom })
-	if !errors.Is(err, boom) || hit {
-		t.Fatalf("Do = (hit=%v, err=%v), want the error and no hit", hit, err)
-	}
 	if c.Len() != 0 {
+		t.Errorf("len = %d, want 0", c.Len())
+	}
+}
+
+// TestCacheErrorNotCached: a scenario whose evaluation fails leaves no
+// cache entry, so the next request for it evaluates afresh.
+func TestCacheErrorNotCached(t *testing.T) {
+	s := New(Config{Logger: discardLogger()})
+	bad := testSpec(50)
+	bad.Logic[0].AreaMM2 = -1 // valid JSON, fails at evaluation
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if _, err := s.evalBatchColumnar(ctx, []*scenario.Spec{bad}, false); err == nil {
+			t.Fatal("invalid scenario evaluated")
+		}
+	}
+	if s.cache.Len() != 0 {
 		t.Fatal("error was cached")
 	}
-	v, hit, err := c.Do(ctx, "k", func(context.Context) (int, error) { return 9, nil })
-	if err != nil || hit || v != 9 {
-		t.Fatalf("retry = (%d, %v, %v), want fresh computation", v, hit, err)
+	if got := s.mCacheMisses.Value(); got != 2 {
+		t.Fatalf("misses = %d, want 2 (each failed request evaluated afresh)", got)
 	}
-}
-
-func TestCachePanicPropagates(t *testing.T) {
-	c := NewCache[int](8)
-	ctx := context.Background()
-
-	// A waiter joined before the panic must fail cleanly, not hang or see
-	// a fabricated success.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	waiterErr := make(chan error, 1)
-	go func() {
-		defer func() { recover() }()
-		_, _, _ = c.Do(ctx, "k", func(context.Context) (int, error) {
-			close(entered)
-			<-release
-			panic("kaboom")
-		})
-	}()
-	<-entered
-	go func() {
-		_, hit, err := c.Do(ctx, "k", func(context.Context) (int, error) { return 1, nil })
-		if hit {
-			err = fmt.Errorf("waiter saw hit=true after a panicked flight")
-		}
-		waiterErr <- err
-	}()
-	// Give the waiter time to join the flight before the leader panics.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	err := <-waiterErr
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("waiter error = %v, want a compute-panicked error", err)
-	}
-	// The flight is gone; the key computes fresh.
-	v, _, err := c.Do(ctx, "k", func(context.Context) (int, error) { return 5, nil })
-	if err != nil || v != 5 {
-		t.Fatalf("post-panic Do = (%d, %v)", v, err)
-	}
-}
-
-func TestCacheWaiterContextCancel(t *testing.T) {
-	c := NewCache[int](8)
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	go func() {
-		_, _, _ = c.Do(context.Background(), "k", func(context.Context) (int, error) {
-			close(entered)
-			<-release
-			return 1, nil
-		})
-	}()
-	<-entered
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := c.Do(ctx, "k", func(context.Context) (int, error) { return 2, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter err = %v, want context.Canceled", err)
-	}
-	close(release)
 }
 
 // TestCacheStress hammers a small cache from many goroutines so the race
-// detector can chew on the LRU/flight bookkeeping.
+// detector can chew on the LRU bookkeeping.
 func TestCacheStress(t *testing.T) {
 	c := NewCache[int](4)
-	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -196,12 +81,10 @@ func TestCacheStress(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%13)
 				want := len(key) + (g+i)%13
-				v, _, err := c.Do(ctx, key, func(context.Context) (int, error) {
-					return want, nil
-				})
-				if err != nil {
-					t.Error(err)
-					return
+				v, hit := c.Get(key)
+				if !hit {
+					c.Put(key, want)
+					continue
 				}
 				if v != want {
 					t.Errorf("key %s = %d, want %d", key, v, want)

@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,6 +272,44 @@ func TestChaosRetryAbsorbsOccasionalFault(t *testing.T) {
 	}
 	if want := expectedResult(t, testSpec(88)); string(body) != string(want) {
 		t.Error("retried result not byte-identical to a clean evaluation")
+	}
+}
+
+// TestChaosRetryContract pins RetryAttempts as the whole attempt budget
+// of a request: a persistent transient fault at the cache-compute site is
+// visited exactly RetryAttempts times and retried RetryAttempts-1 times,
+// for a single object and a batch alike.
+func TestChaosRetryContract(t *testing.T) {
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"single", mustJSON(t, testSpec(71))},
+		{"batch", mustJSON(t, []*scenario.Spec{testSpec(72), testSpec(73)})},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const attempts = 3
+			s, ts := newTestServer(t, Config{RetryAttempts: attempts, BreakerThreshold: -1})
+			var visits atomic.Int64
+			faultinject.Register(faultinject.SiteCacheCompute, func(string) faultinject.Fault {
+				visits.Add(1)
+				return faultinject.Fault{Err: acterr.Transient(errors.New("persistent fault"))}
+			})
+			defer faultinject.Reset()
+
+			before := s.mRetries.Value()
+			resp, body := postJSON(t, ts.URL+"/v1/footprint", c.body)
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("status = %d, want 500; body %.200s", resp.StatusCode, body)
+			}
+			if got := visits.Load(); got != attempts {
+				t.Errorf("cache-compute visits = %d, want RetryAttempts = %d", got, attempts)
+			}
+			if got := s.mRetries.Value() - before; got != attempts-1 {
+				t.Errorf("actd_retries_total delta = %d, want %d", got, attempts-1)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,10 @@
-// The columnar batch path for /v1/footprint: array requests decode once,
-// probe the footprint cache per canonical key, and evaluate only the
-// distinct misses through internal/colbatch in chunked column batches
-// fanned across the worker pool. Single-object requests keep the scalar
-// evalOne path untouched — it is the oracle the columnar engine is
-// conformance-tested against.
+// The evaluation path for /v1/footprint: a request — one object or a
+// batch array — decodes once, probes the footprint cache per canonical
+// key, and evaluates only the distinct misses through internal/colbatch
+// in chunked column batches fanned across the worker pool. A single
+// object is a batch of one. The scalar model (scenario.Spec.Result) is
+// not a serving path: it is the oracle the columnar engine falls back to
+// per item and is conformance-tested against.
 
 package serve
 
@@ -26,15 +27,14 @@ import (
 // scenarios fails: the pool sees a non-ctx error (so it cancels and wins
 // over ctx-induced sibling failures), while the real per-scenario error
 // is recorded out of band and re-wrapped with the scenario index — the
-// same "parsweep: item i" shape the scalar batch path reports.
+// same "parsweep: item i" shape a parsweep fan-out reports.
 var errScenarioFailed = errors.New("scenario failed")
 
 // maxPooledBufBytes caps the capacity of response buffers returned to the
 // pool, so one huge batch response does not pin its buffer forever.
 const maxPooledBufBytes = 1 << 20
 
-// bufPool holds response-encoding buffers: the per-result document buffer
-// in evalOne and the batch join buffer in handleFootprint.
+// bufPool holds the batch response join buffers of handleFootprint.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getBuf() *bytes.Buffer {
@@ -53,13 +53,13 @@ func putBuf(b *bytes.Buffer) {
 // work fanned across the pool.
 type missChunk struct{ start, end int }
 
-// evalBatchColumnar answers a whole batch: cache probes for residency,
-// batch-local dedup by canonical key, columnar evaluation of the distinct
-// misses. Metrics match the scalar path item for item — every scenario
-// counts, a resident or batch-coalesced item is a hit, every distinct
-// evaluation is a miss — and item errors carry the same "[i]"-prefixed
-// field paths the scalar batch path reports.
-func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) ([]json.RawMessage, error) {
+// evalBatchColumnar answers a whole request: cache probes for residency,
+// request-local dedup by canonical key, columnar evaluation of the
+// distinct misses. Every scenario counts, a resident or request-coalesced
+// item is a hit, every distinct evaluation is a miss. With batch set, item
+// errors carry "[i]"-prefixed field paths; a single object's (batch
+// unset) stay rooted at the object itself.
+func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec, batch bool) ([]json.RawMessage, error) {
 	results := make([]json.RawMessage, len(specs))
 	keyOf := make([]string, len(specs))
 	first := make(map[string]int, len(specs)) // key → first non-resident index
@@ -74,8 +74,7 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 			continue
 		}
 		if _, seen := first[key]; seen {
-			// Coalesced onto the first occurrence's evaluation — the
-			// batch-local equivalent of joining a cache flight.
+			// Coalesced onto the first occurrence's evaluation.
 			s.mCacheHits.Inc()
 			continue
 		}
@@ -92,14 +91,18 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 			chunks[c] = missChunk{start, min(start+colbatch.DefaultChunk, len(miss))}
 		}
 		// The pool indexes chunks, but failures must report the scenario
-		// index. record keeps the lowest-index scenario error; the chunk
-		// hands the pool the sentinel instead.
+		// index. record keeps the lowest-index scenario error (under its
+		// batch index, for batches); the chunk hands the pool the sentinel
+		// instead.
 		var (
 			errMu  sync.Mutex
 			errIdx = -1
 			errVal error
 		)
 		record := func(gi int, err error) error {
+			if batch {
+				err = acterr.Prefix(fmt.Sprintf("[%d]", gi), err)
+			}
 			errMu.Lock()
 			if errIdx == -1 || gi < errIdx {
 				errIdx, errVal = gi, err
@@ -113,12 +116,10 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 				defer s.mPoolDepth.Dec()
 				chunkSpecs := make([]*scenario.Spec, ch.end-ch.start)
 				for j := range chunkSpecs {
-					// Every evaluated scenario passes the injected-fault
-					// site the scalar cache-miss path passes, honoring
-					// the request deadline.
+					// Every evaluated scenario passes the cache-compute
+					// injected-fault site, honoring the request deadline.
 					if err := faultinject.Visit(ctx, faultinject.SiteCacheCompute); err != nil {
-						return struct{}{}, record(miss[ch.start+j],
-							acterr.Prefix(fmt.Sprintf("[%d]", miss[ch.start+j]), err))
+						return struct{}{}, record(miss[ch.start+j], err)
 					}
 					chunkSpecs[j] = specs[miss[ch.start+j]]
 				}
@@ -127,7 +128,7 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 				for j := 0; j < r.Len(); j++ {
 					gi := miss[ch.start+j]
 					if err := r.Err(j); err != nil {
-						return struct{}{}, record(gi, acterr.Prefix(fmt.Sprintf("[%d]", gi), err))
+						return struct{}{}, record(gi, err)
 					}
 					// Copy out of the pooled arena before caching: the
 					// cache and the response outlive the batch columns.
@@ -147,7 +148,7 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 		}
 	}
 
-	// Batch-local duplicates read their key's evaluated first occurrence.
+	// Request-local duplicates read their key's evaluated first occurrence.
 	for i := range results {
 		if results[i] == nil {
 			results[i] = results[first[keyOf[i]]]

@@ -86,6 +86,7 @@ func TestFootprintStatusMapping(t *testing.T) {
 		{"valid", valid, http.StatusOK, "", ""},
 		{"unknown-node", strings.Replace(valid, `"7nm"`, `"quantum"`, 1), http.StatusBadRequest, codeInvalidArgument, "logic[0]"},
 		{"bad-dram-tech", `{"name": "x", "dram": [{"name": "m", "technology": "sram-9000", "capacity_gb": 8}], "usage": {"power_w": 5, "app_hours": 100}}`, http.StatusBadRequest, codeInvalidArgument, "dram[0].technology"},
+		{"eval-time-bad-field", strings.Replace(valid, `"area_mm2": 100`, `"area_mm2": -1`, 1), http.StatusBadRequest, codeInvalidArgument, "logic[0].area_mm2"},
 		{"app-hours-past-lifetime", strings.Replace(valid, `"app_hours": 100`, `"app_hours": 1e6`, 1), http.StatusBadRequest, codeInvalidArgument, "usage.app_hours"},
 		{"unsupported-version", `{"version": 2, ` + valid[1:], http.StatusBadRequest, codeUnsupportedVersion, ""},
 		{"unknown-wire-field", `{"bogus": 1, ` + valid[1:], http.StatusBadRequest, codeInvalidArgument, ""},
@@ -96,6 +97,11 @@ func TestFootprintStatusMapping(t *testing.T) {
 		{"batch-bad-element-field", `[` + valid + `, ` + strings.Replace(valid, `"app_hours": 100`, `"app_hours": -1`, 1) + `]`, http.StatusBadRequest, codeInvalidArgument, "[1].usage.app_hours"},
 		{"batch-over-max", `[` + valid + `,` + valid + `,` + valid + `,` + valid + `]`, http.StatusRequestEntityTooLarge, codeTooLarge, ""},
 		{"body-over-max", `{"pad": "` + strings.Repeat("x", 8192) + `"}`, http.StatusRequestEntityTooLarge, codeTooLarge, ""},
+	}
+	// Messages pinned byte for byte: a single object's evaluation error
+	// names the item without a batch index in its field path.
+	wantMsg := map[string]string{
+		"eval-time-bad-field": `parsweep: item 0: scenario: invalid spec field logic[0].area_mm2: logic "soc": non-positive die area -1 mm²`,
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -112,6 +118,9 @@ func TestFootprintStatusMapping(t *testing.T) {
 			}
 			if e.Field != c.wantField {
 				t.Errorf("field = %q, want %q", e.Field, c.wantField)
+			}
+			if want, ok := wantMsg[c.name]; ok && e.Message != want {
+				t.Errorf("message = %q, want %q", e.Message, want)
 			}
 		})
 	}

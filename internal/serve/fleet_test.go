@@ -326,55 +326,6 @@ func TestFleetPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestFleetLegacyWALMigration boots a server whose -fleet-wal path holds
-// a pre-segmentation single-file WAL, as a deployment upgrading in place
-// would. The file must migrate into the segment directory, replay, and
-// retire at the first checkpoint.
-func TestFleetLegacyWALMigration(t *testing.T) {
-	dir := t.TempDir()
-	d := FleetDurability{
-		SnapshotPath: filepath.Join(dir, "fleet.snap"),
-		WALDir:       filepath.Join(dir, "fleet.wal"),
-	}
-	ctx := context.Background()
-
-	// An old server writes the single-file WAL at the future WALDir path.
-	s1, ts1 := newTestServer(t, Config{})
-	mem := s1.Fleet()
-	legacy, err := os.OpenFile(d.WALDir, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem.AttachLog(legacy)
-	if resp := ingestFleet(t, ts1.URL, strings.Join([]string{
-		fleetLine(t, "a", 10, "united-states"),
-		fleetLine(t, "b", 20, "europe"),
-	}, "\n")); resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status = %d", resp.StatusCode)
-	}
-	wantBody := fleetSummaryBody(t, ts1.URL)
-	mem.AttachLog(nil)
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The new server mounts the same path as its WAL directory.
-	s2, ts2 := newTestServer(t, Config{})
-	if err := s2.OpenFleet(ctx, d); err != nil {
-		t.Fatal(err)
-	}
-	defer s2.CloseFleet()
-	if gotBody := fleetSummaryBody(t, ts2.URL); !bytes.Equal(gotBody, wantBody) {
-		t.Fatalf("summary after migration differs:\n%s\nwant:\n%s", gotBody, wantBody)
-	}
-	if err := s2.CheckpointFleet(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(d.WALDir, "legacy.wal")); !os.IsNotExist(err) {
-		t.Fatalf("legacy WAL not retired after checkpoint: %v", err)
-	}
-}
-
 // TestFleetDegradedEndToEnd is the acceptance path for degrade-and-heal:
 // the disk fills mid-traffic, the next write answers 503 with the
 // `degraded` envelope code, /readyz flips to degraded while /metrics

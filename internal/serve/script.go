@@ -89,7 +89,7 @@ func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
 
 	opts := script.Options{Budget: s.scriptBudget()}
 	start := time.Now()
-	res, err := resilience.Retry(r.Context(), s.retryPolicy(fnvHash(req.Source)),
+	res, err := resilience.Retry(r.Context(), s.retryPolicy(uint64(len(body))),
 		func(ctx context.Context, _ int) (*script.Result, error) {
 			return script.Eval(ctx, req.Source, opts)
 		})

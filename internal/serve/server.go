@@ -14,11 +14,13 @@
 //	GET  /readyz        readiness (503 while draining or a breaker is open)
 //	GET  /metrics       Prometheus text exposition
 //
-// Batch requests fan out across the parsweep worker pool under a
-// per-request concurrency bound; every scenario evaluation goes through an
-// LRU + singleflight cache keyed on the canonical scenario encoding
-// (scenario.CanonicalKey), so a fleet batch of identical BoMs costs one
-// model evaluation. Requests carry a server-imposed timeout (exceeded →
+// A footprint request, one object or a batch, is a batch to the columnar
+// engine: scenarios probe an LRU cache keyed on the canonical scenario
+// encoding (scenario.CanonicalKey), duplicates within the request
+// coalesce, and the distinct misses fan out across the parsweep worker
+// pool under a per-request concurrency bound, so a fleet batch of
+// identical BoMs costs one model evaluation. One retry layer wraps the
+// whole request. Requests carry a server-imposed timeout (exceeded →
 // 504) and shutdown is graceful: in-flight requests drain, new ones are
 // rejected with 503.
 //
@@ -82,9 +84,8 @@ type Config struct {
 	// 2×MaxInFlight); beyond it requests shed immediately with 429.
 	MaxQueue int
 	// RetryAttempts is the total attempts (first try included) given to a
-	// scenario evaluation or batch fan-out that fails with a transient
-	// fault (default 3; 1 disables retries). Validation errors are never
-	// retried.
+	// request that fails with a transient fault (default 3; 1 disables
+	// retries). Validation errors are never retried.
 	RetryAttempts int
 	// BreakerThreshold is the run of consecutive 5xx responses that trips
 	// a handler's circuit breaker (default 5; negative disables breakers).

@@ -291,8 +291,7 @@ func TestMemFSOpsCountStable(t *testing.T) {
 	}
 }
 
-// Stat distinguishes files from directories, for the legacy-WAL migration
-// probe in the fleet store.
+// Stat distinguishes files from directories.
 func TestMemFSStat(t *testing.T) {
 	m := NewMemFS()
 	writeFile(t, m, "dir/f", "abc", true, true)
