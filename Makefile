@@ -13,8 +13,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 verification: what must stay green on every commit.
+# Tier-1 verification: what must stay green on every commit, starting
+# with gofmt-clean sources.
 verify: build
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test ./...
 
@@ -69,7 +71,8 @@ cover:
 # each fuzzer a short budget beyond its committed seed corpus: the fleet
 # ingest stream, both wire-envelope fuzzers, and the script interpreter's
 # parse/eval pair (the eval fuzzer runs whole adversarial programs under
-# tight budgets and must terminate without panics or hangs).
+# tight budgets and must terminate without panics or hangs), and the host
+# boundary's direct spec walk against the strict JSON round trip.
 verify-chaos:
 	$(GO) vet -tags faultinject ./...
 	$(GO) test -race -tags faultinject ./...
@@ -80,6 +83,7 @@ verify-chaos:
 	$(GO) test -run FuzzCanonicalKey -fuzz FuzzCanonicalKey -fuzztime 10s ./internal/scenario/
 	$(GO) test -run FuzzScriptParse -fuzz FuzzScriptParse -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzScriptEval -fuzz FuzzScriptEval -fuzztime 10s ./internal/script/
+	$(GO) test -run FuzzSpecFromValue -fuzz FuzzSpecFromValue -fuzztime 10s ./internal/script/
 
 # Crash-consistency harness: a seeded 200+-operation trace against the
 # MemFS-backed fleet store, power-cycled after every single filesystem
@@ -102,8 +106,9 @@ bench-cache:
 bench-fleet:
 	$(GO) test -run XXX -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK)' -benchmem ./internal/fleet/
 
-# The columnar-engine acceptance pair: the colbatch sweep must beat the
-# scalar cold path by >=10x per scenario at zero allocs.
+# The columnar-engine acceptance benchmarks: the colbatch sweeps at near-zero
+# allocs, and actd's cold single-object and batch paths, both of which run
+# through colbatch (a single object is a batch of one).
 bench-batch:
 	$(GO) test -run XXX -bench 'ColBatch' -benchmem ./internal/colbatch/
 	$(GO) test -run XXX -bench 'Footprint(Cold|BatchColumnar)' -benchmem ./internal/serve/

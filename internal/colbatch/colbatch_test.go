@@ -2,10 +2,8 @@ package colbatch
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -32,10 +30,10 @@ func variants() []*scenario.Spec {
 				{Name: "cpu", AreaMM2: 400, Node: "14nm", Count: 2},
 				{Name: "nic", AreaMM2: 50, Node: "28nm"},
 			},
-			DRAM:    []scenario.DRAMSpec{{Name: "dimm", Technology: "10nm-ddr4", CapacityGB: 256}},
-			Storage: []scenario.StorageSpec{{Name: "hdd", Technology: "exosx16", CapacityGB: 14000}, {Name: "ssd", Technology: "nytro-1551", CapacityGB: 1920}},
-			ExtraICs: 40,
-			Usage:    scenario.UsageSpec{PowerW: 300, AppHours: 8766, PUE: 1.4},
+			DRAM:          []scenario.DRAMSpec{{Name: "dimm", Technology: "10nm-ddr4", CapacityGB: 256}},
+			Storage:       []scenario.StorageSpec{{Name: "hdd", Technology: "exosx16", CapacityGB: 14000}, {Name: "ssd", Technology: "nytro-1551", CapacityGB: 1920}},
+			ExtraICs:      40,
+			Usage:         scenario.UsageSpec{PowerW: 300, AppHours: 8766, PUE: 1.4},
 			LifetimeYears: 4,
 		},
 		{ // custom fab parameters
@@ -59,7 +57,7 @@ func variants() []*scenario.Spec {
 			EndOfLife: &scenario.EndOfLifeSpec{ProcessingKg: 0.1, RecyclingCreditKg: 5},
 		},
 		{ // hostile strings: HTML escapes, controls, invalid UTF-8, U+2028
-			Name: "a<b>&\"\\\n\t\x01\x80ü z",
+			Name:  "a<b>&\"\\\n\t\x01\x80ü z",
 			Logic: []scenario.LogicSpec{{Name: "die <&>  ", AreaMM2: 10, Node: "28nm"}},
 			Usage: scenario.UsageSpec{PowerW: 1, AppHours: 10},
 		},
@@ -299,58 +297,6 @@ func TestConcurrentBatchesSharePools(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestEncoderPrimitivesMatchStdlib A/B-tests the float and string encoders
-// against encoding/json over adversarial values.
-func TestEncoderPrimitivesMatchStdlib(t *testing.T) {
-	floats := []float64{
-		0, math.Copysign(0, -1), 1, -1, 3.14159, 1e-6, 9.999999e-7, 1e-7,
-		1e21, 9.99999e20, -1e21, 1e-300, 1e300, 150, 876.6, 1.0 / 3.0,
-		math.MaxFloat64, math.SmallestNonzeroFloat64, 123456789.123456789,
-		2.2250738585072014e-308, 0.1, 0.30000000000000004,
-	}
-	for _, f := range floats {
-		want, err := json.Marshal(f)
-		if err != nil {
-			t.Fatalf("stdlib rejected %v: %v", f, err)
-		}
-		got, ok := appendJSONFloat(nil, f)
-		if !ok {
-			t.Errorf("appendJSONFloat rejected finite %v", f)
-			continue
-		}
-		if string(got) != string(want) {
-			t.Errorf("float %v: got %s, stdlib %s", f, got, want)
-		}
-	}
-	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, ok := appendJSONFloat(nil, f); ok {
-			t.Errorf("appendJSONFloat accepted non-finite %v", f)
-		}
-	}
-
-	strs := []string{
-		"", "plain", "with space", `quote " and \ backslash`,
-		"<script>&amp;</script>", "tab\tnewline\ncr\rbackspace\bformfeed\f",
-		"\x00\x01\x1f\x7f", "valid ü 日本語 🌍", "invalid \x80\xfe bytes",
-		"line and separators", strings.Repeat("é<", 100),
-		"trailing invalid \xc3",
-	}
-	for _, s := range strs {
-		// Encoder (not Marshal) to match the HTML-escaping default used
-		// by report.Encode.
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		if err := enc.Encode(s); err != nil {
-			t.Fatalf("stdlib rejected %q: %v", s, err)
-		}
-		want := strings.TrimSuffix(buf.String(), "\n")
-		got := appendJSONString(nil, s)
-		if string(got) != want {
-			t.Errorf("string %q: got %s, stdlib %s", s, got, want)
-		}
-	}
 }
 
 // BenchmarkColBatchEvalSweep is the honest design-space-exploration

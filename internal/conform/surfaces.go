@@ -92,9 +92,10 @@ func (Columnar) Eval(spec *scenario.Spec) ([]byte, error) {
 // ScriptSurface is the sandboxed interpreter path: the spec is pasted into
 // a one-expression program as a map literal and priced through the
 // footprint_doc host call, which returns the canonical result document as
-// a script string. Any drift in the interpreter's JSON round trip (map
-// literal decode, host-call spec rebuild, document pass-through) shows up
-// here as a byte diff against Direct.
+// a script string. Any drift at the interpreter's host boundary (map
+// literal parse, the direct walk from script map to spec or its strict
+// round-trip fallback, document pass-through) shows up here as a byte
+// diff against Direct.
 type ScriptSurface struct{}
 
 func (ScriptSurface) Name() string { return "script" }

@@ -33,11 +33,11 @@ type GroupSlot struct {
 type ShardAggregate struct {
 	// Index is the global shard index (FNV-64a of the device id mod the
 	// registry's shard count).
-	Index          int     `json:"index"`
-	Devices        int64   `json:"devices"`
-	EmbodiedG      float64 `json:"embodied_g"`
-	EmbodiedShareG float64 `json:"embodied_share_g"`
-	OperationalG   float64 `json:"operational_g"`
+	Index          int         `json:"index"`
+	Devices        int64       `json:"devices"`
+	EmbodiedG      float64     `json:"embodied_g"`
+	EmbodiedShareG float64     `json:"embodied_share_g"`
+	OperationalG   float64     `json:"operational_g"`
 	ByRegion       []GroupSlot `json:"by_region,omitempty"`
 	ByNode         []GroupSlot `json:"by_node,omitempty"`
 	ByClass        []GroupSlot `json:"by_class,omitempty"`

@@ -126,3 +126,22 @@ func TestBenchSweepProgramAgrees(t *testing.T) {
 		t.Fatalf("script total %v != direct total %v", got, want)
 	}
 }
+
+// TestSweepAllocsPerScenario pins the host boundary's allocation cost: a
+// 256-point sweep, built in-language and priced in one footprint call,
+// must stay within 200 allocations per scenario end to end. A JSON round
+// trip per scenario on either side of the boundary costs roughly twice
+// that.
+func TestSweepAllocsPerScenario(t *testing.T) {
+	const n, limit = 256, 200
+	src := benchSweepProgram(n)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Eval(ctx, src, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / n; per > limit {
+		t.Fatalf("%.0f allocs per scenario over a %d-point sweep, want <= %d", per, n, limit)
+	}
+}

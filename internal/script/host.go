@@ -1,8 +1,6 @@
 package script
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -10,7 +8,6 @@ import (
 	"act/internal/acterr"
 	"act/internal/colbatch"
 	"act/internal/metrics"
-	"act/internal/report"
 	"act/internal/scenario"
 	"act/internal/units"
 )
@@ -40,124 +37,17 @@ func registerHost(scope *env) {
 	}
 }
 
-// specFromValue converts a script map into a wire scenario through the
-// strict decoder, so scripts get exactly the validation surface of the
-// HTTP and CLI layers (unknown fields rejected, same error texts).
-func specFromValue(pos Pos, v Value) (*scenario.Spec, error) {
-	m, ok := v.(*Map)
-	if !ok {
-		return nil, errAt(pos, "footprint needs a scenario map or a list of them, got %s", typeName(v))
+// evalDoc runs one scenario through the columnar engine, as a batch of
+// one, and hands its canonical result document — the same bytes every
+// other surface emits — to use before the pooled arena is released.
+// Evaluation failures come from the engine's scalar oracle.
+func evalDoc(pos Pos, spec *scenario.Spec, use func(doc []byte) (Value, error)) (Value, error) {
+	res := colbatch.Eval([]*scenario.Spec{spec})
+	defer res.Close()
+	if err := res.Err(0); err != nil {
+		return nil, hostEvalError(pos, err)
 	}
-	data, err := appendValueCompact(nil, m, 0)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := scenario.Unmarshal(data)
-	if err != nil {
-		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("invalid scenario: %v", err), Err: err}
-	}
-	return spec, nil
-}
-
-// decodeDoc parses a canonical result document into script values,
-// preserving the document's key order so script output stays as
-// deterministic as the document itself.
-func decodeDoc(in *interp, doc []byte) (Value, error) {
-	if err := in.charge(int64(len(doc)) * 2); err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.UseNumber()
-	v, err := decodeOrdered(dec, 0)
-	if err != nil {
-		return nil, &Error{Msg: fmt.Sprintf("internal: decoding result document: %v", err), Err: err}
-	}
-	return v, nil
-}
-
-// decodeOrdered rebuilds one JSON value from a decoder token stream,
-// keeping object key order.
-func decodeOrdered(dec *json.Decoder, depth int) (Value, error) {
-	if depth > maxValueDepth {
-		return nil, errTooDeep
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	return decodeOrderedFrom(dec, tok, depth)
-}
-
-func decodeOrderedFrom(dec *json.Decoder, tok json.Token, depth int) (Value, error) {
-	switch t := tok.(type) {
-	case json.Delim:
-		switch t {
-		case '{':
-			m := NewMap()
-			for dec.More() {
-				keyTok, err := dec.Token()
-				if err != nil {
-					return nil, err
-				}
-				key, ok := keyTok.(string)
-				if !ok {
-					return nil, fmt.Errorf("object key is %T", keyTok)
-				}
-				v, err := decodeOrdered(dec, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				m.Set(key, v)
-			}
-			if _, err := dec.Token(); err != nil { // consume '}'
-				return nil, err
-			}
-			return m, nil
-		case '[':
-			l := &List{}
-			for dec.More() {
-				v, err := decodeOrdered(dec, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				l.Elems = append(l.Elems, v)
-			}
-			if _, err := dec.Token(); err != nil { // consume ']'
-				return nil, err
-			}
-			return l, nil
-		default:
-			return nil, fmt.Errorf("unexpected delimiter %v", t)
-		}
-	case json.Number:
-		f, err := t.Float64()
-		if err != nil {
-			return nil, err
-		}
-		return f, nil
-	case string:
-		return t, nil
-	case bool:
-		return t, nil
-	case nil:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("unexpected token %T", tok)
-	}
-}
-
-// evalSpecDoc runs one scenario through the model and returns the
-// canonical result document — the same bytes every other surface emits.
-func evalSpecDoc(spec *scenario.Spec) ([]byte, error) {
-	res, err := spec.Result()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := report.Encode(&buf, res); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return use(res.Doc(0))
 }
 
 // hostFootprint is footprint(spec-map) → result map, or
@@ -178,11 +68,9 @@ func hostFootprint(in *interp, pos Pos, args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := evalSpecDoc(spec)
-	if err != nil {
-		return nil, hostEvalError(pos, err)
-	}
-	return decodeDoc(in, doc)
+	return evalDoc(pos, spec, func(doc []byte) (Value, error) {
+		return decodeDoc(in, doc)
+	})
 }
 
 func footprintBatch(in *interp, pos Pos, l *List) (Value, error) {
@@ -191,8 +79,8 @@ func footprintBatch(in *interp, pos Pos, l *List) (Value, error) {
 	}
 	specs := make([]*scenario.Spec, len(l.Elems))
 	for i, e := range l.Elems {
-		// Spec conversion is JSON-priced per element; poll the context so a
-		// deadline cancels during conversion of a huge list, not after it.
+		// Poll the context so a deadline cancels during conversion of a
+		// huge list, not after it.
 		if i%hostChunk == 0 {
 			if err := in.checkCtx(); err != nil {
 				return nil, err
@@ -261,14 +149,12 @@ func hostFootprintDoc(in *interp, pos Pos, args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := evalSpecDoc(spec)
-	if err != nil {
-		return nil, hostEvalError(pos, err)
-	}
-	if err := in.charge(16 + int64(len(doc))); err != nil {
-		return nil, err
-	}
-	return string(doc), nil
+	return evalDoc(pos, spec, func(doc []byte) (Value, error) {
+		if err := in.charge(16 + int64(len(doc))); err != nil {
+			return nil, err
+		}
+		return string(doc), nil
+	})
 }
 
 // hostEvalError wraps a model-evaluation failure. Validation failures

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"act/internal/faultinject"
+	"act/internal/report"
 )
 
 // Budget is the hard resource envelope one evaluation runs under. Zero
@@ -143,7 +144,7 @@ func (r *Result) Encode(w io.Writer) error {
 				buf = append(buf, ',')
 			}
 			buf = append(buf, "\n    {\n      \"name\": "...)
-			buf = appendStringJSON(buf, e.Name)
+			buf = report.AppendJSONString(buf, e.Name)
 			buf = append(buf, ",\n      \"value\": "...)
 			if buf, err = appendValueJSON(buf, e.Value, 3); err != nil {
 				return err

@@ -1,9 +1,10 @@
 package script
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"act/internal/report"
 )
 
 // Value is a script runtime value: nil, bool, float64, string, *List,
@@ -232,27 +233,14 @@ func parseFloatStrict(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-// appendStringJSON appends the JSON encoding of s, HTML-escaped exactly
-// as encoding/json does, so script output stays byte-compatible with the
-// canonical report encoder.
-func appendStringJSON(buf []byte, s string) []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		// json.Marshal of a string cannot fail; keep the encoder total.
-		return append(buf, `""`...)
-	}
-	return append(buf, b...)
-}
-
 // appendFloatJSON appends the JSON encoding of f using encoding/json's
 // exact float formatting. NaN and infinities, which JSON cannot carry,
 // encode as null.
 func appendFloatJSON(buf []byte, f float64) []byte {
-	b, err := json.Marshal(f)
-	if err != nil {
-		return append(buf, "null"...)
+	if out, ok := report.AppendJSONFloat(buf, f); ok {
+		return out
 	}
-	return append(buf, b...)
+	return append(buf, "null"...)
 }
 
 // appendValueJSON appends v as two-space-indented JSON at the given
@@ -273,7 +261,7 @@ func appendValueJSON(buf []byte, v Value, indent int) ([]byte, error) {
 	case float64:
 		return appendFloatJSON(buf, x), nil
 	case string:
-		return appendStringJSON(buf, x), nil
+		return report.AppendJSONString(buf, x), nil
 	case *List:
 		if len(x.Elems) == 0 {
 			return append(buf, "[]"...), nil
@@ -301,7 +289,7 @@ func appendValueJSON(buf []byte, v Value, indent int) ([]byte, error) {
 				buf = append(buf, ',')
 			}
 			buf = appendIndent(buf, indent+1)
-			buf = appendStringJSON(buf, k)
+			buf = report.AppendJSONString(buf, k)
 			buf = append(buf, ": "...)
 			var err error
 			if buf, err = appendValueJSON(buf, x.vals[k], indent+1); err != nil {
@@ -340,7 +328,7 @@ func appendValueCompact(buf []byte, v Value, depth int) ([]byte, error) {
 	case float64:
 		return appendFloatJSON(buf, x), nil
 	case string:
-		return appendStringJSON(buf, x), nil
+		return report.AppendJSONString(buf, x), nil
 	case *List:
 		buf = append(buf, '[')
 		for i, e := range x.Elems {
@@ -359,7 +347,7 @@ func appendValueCompact(buf []byte, v Value, depth int) ([]byte, error) {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendStringJSON(buf, k)
+			buf = report.AppendJSONString(buf, k)
 			buf = append(buf, ':')
 			var err error
 			if buf, err = appendValueCompact(buf, x.vals[k], depth+1); err != nil {
