@@ -102,9 +102,10 @@ bench-cache:
 	$(GO) test -run XXX -bench 'Footprint(Cold|Cached)' -benchmem ./internal/serve/
 
 # Fleet acceptance benchmarks: builds a one-million-device registry and
-# pins the O(shards) summary bound (<10ms) plus ingest/top-K costs.
+# pins the O(shards) summary bound (<10ms) plus top-K and ingest costs
+# (per line, and per 500-device chunk in devices/s and allocs/device).
 bench-fleet:
-	$(GO) test -run XXX -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK)' -benchmem ./internal/fleet/
+	$(GO) test -run XXX -bench 'Fleet(Ingest|IngestChunk|Summary|SummaryGrouped|TopK)' -benchmem ./internal/fleet/
 
 # The columnar-engine acceptance benchmarks: the colbatch sweeps at near-zero
 # allocs, and actd's cold single-object and batch paths, both of which run

@@ -350,6 +350,33 @@ func TestClusterIngestErrors(t *testing.T) {
 		t.Fatalf("malformed JSON: %d %s", resp.StatusCode, body)
 	}
 
+	// A bad envelope field is the client's mistake wherever the record
+	// lands: 400 invalid_argument naming the field at the global index,
+	// whether the owner is this member, a remote one, or (when the id
+	// cannot be read) the coordinator by default.
+	coord := tc.nodes[0].srv.Cluster()
+	ownedBy := func(local bool) string {
+		for i := 0; ; i++ {
+			if id := fmt.Sprintf("env-%d", i); coord.IsLocal(id) == local {
+				return id
+			}
+		}
+	}
+	for _, row := range []struct{ name, envelope, field string }{
+		{"unknown field, remote owner", `"id":"` + ownedBy(false) + `","bogus":1`, "device[10].bogus"},
+		{"unknown field, local owner", `"id":"` + ownedBy(true) + `","bogus":1`, "device[10].bogus"},
+		{"mistyped utilization, remote owner", `"id":"` + ownedBy(false) + `","utilization":"x"`, "device[10].utilization"},
+		{"mistyped id", `"id":5`, "device[10].id"},
+	} {
+		line := fmt.Sprintf(`{%s,"region":"europe","deployed":"2024-01-01","scenario":{"version":1,"name":"x"}}`+"\n", row.envelope)
+		stream := append(fleetNDJSON(t, 10, 2), line...)
+		resp, body := post(t, tc.urls[0]+"/v1/fleet/devices", stream)
+		if resp.StatusCode != 400 || !strings.Contains(string(body), `"code":"invalid_argument"`) ||
+			!strings.Contains(string(body), `"field":"`+row.field+`"`) {
+			t.Errorf("%s: %d %s, want 400 invalid_argument at %s", row.name, resp.StatusCode, body, row.field)
+		}
+	}
+
 	resp, body = post(t, tc.urls[0]+"/v1/fleet/devices", fleetNDJSON(t, 60, 2))
 	if resp.StatusCode != 413 || !strings.Contains(string(body), "too_large") {
 		t.Fatalf("over batch bound: %d %s", resp.StatusCode, body)

@@ -1,11 +1,12 @@
-// Ingest scatter. The coordinator decodes the request stream exactly the
-// way the registry's own IngestNDJSON does (a json.Decoder over any
-// concatenation of JSON objects), routes every record to its owning
-// member — shard-grain placement, so all records of one global shard go
-// to one owner and apply there in stream order, the same per-shard apply
-// order the single registry would use — and ships each member its
-// sub-batch in one forwarded request. Error indices are remapped from
-// the sub-batch back to the global stream position.
+// Ingest scatter. The coordinator decodes the request stream with the
+// registry's own decoder (fleet.DeviceDecoder, one strict pass per record
+// over any concatenation of JSON objects), routes every record on the id
+// that pass read to its owning member — shard-grain placement, so all
+// records of one global shard go to one owner and apply there in stream
+// order, the same per-shard apply order the single registry would use —
+// and ships each member its sub-batch in one forwarded request. Error
+// indices are remapped from the sub-batch back to the global stream
+// position.
 //
 // Semantic note (documented in API.md): single-node ingest stops at the
 // first invalid record; scattered ingest ships sub-batches in parallel,
@@ -43,24 +44,21 @@ type ingestBatch struct {
 // registry's own limit.
 func (c *Cluster) Ingest(ctx context.Context, rd io.Reader, maxDevices int) (fleet.IngestResult, error) {
 	var (
-		raws      [][]byte
+		// seen holds the stream as the decoder consumes it; each record is
+		// forwarded as its own span of it.
+		seen      bytes.Buffer
+		recs      []routedRecord
 		streamErr error
+		ds        fleet.DeviceSpec
 	)
-	dec := json.NewDecoder(rd)
-	for i := 0; ; i++ {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			// Mirror the registry's decode-error taxonomy so the HTTP layer
-			// classifies scattered and local ingest identically.
-			var syn *json.SyntaxError
-			if errors.As(err, &syn) || errors.Is(err, io.ErrUnexpectedEOF) {
-				streamErr = fmt.Errorf("fleet: %w",
-					acterr.Prefix(fmt.Sprintf("device[%d]", i), acterr.Invalid("", "malformed JSON: %v", err)))
-			} else {
-				streamErr = fmt.Errorf("fleet: device[%d]: %w", i, err)
+	dec := fleet.NewDeviceDecoder(io.TeeReader(rd, &seen))
+	for start := int64(0); ; {
+		// A record whose envelope does not decode is still routed on
+		// whatever id it carries; its owner reports the typed error.
+		i, _, err := dec.Next(&ds)
+		if err != nil {
+			if err != io.EOF {
+				streamErr = err
 			}
 			break
 		}
@@ -68,45 +66,54 @@ func (c *Cluster) Ingest(ctx context.Context, rd io.Reader, maxDevices int) (fle
 			streamErr = fmt.Errorf("fleet: %w: limit %d", fleet.ErrTooMany, maxDevices)
 			break
 		}
-		raws = append(raws, raw)
+		end := dec.InputOffset()
+		recs = append(recs, routedRecord{owner: c.ownerOfRecord(ds.ID), start: start, end: end})
+		start = end
 	}
 
 	// Everything decoded before a stream fault still applies — the same
 	// "applied records stay applied" contract the registry keeps.
-	res, flushErr := c.flush(ctx, raws)
+	res, flushErr := c.flush(ctx, seen.Bytes(), recs)
 	if streamErr != nil {
 		return res, streamErr
 	}
 	return res, flushErr
 }
 
-// flush routes the decoded records and dispatches every member's batch
-// in parallel.
-func (c *Cluster) flush(ctx context.Context, raws [][]byte) (fleet.IngestResult, error) {
+// routedRecord is one decoded record: its owner and its byte span in the
+// stream (leading whitespace included).
+type routedRecord struct {
+	owner      string
+	start, end int64
+}
+
+// ownerOfRecord routes by id. A record whose id could not be read routes
+// locally: it fails validation wherever it lands, and the local registry
+// produces the canonical typed error for it.
+func (c *Cluster) ownerOfRecord(id string) string {
+	if id == "" {
+		return c.self
+	}
+	return c.OwnerOf(id)
+}
+
+// flush batches the decoded records per owner and dispatches every
+// member's batch in parallel.
+func (c *Cluster) flush(ctx context.Context, stream []byte, recs []routedRecord) (fleet.IngestResult, error) {
 	var res fleet.IngestResult
-	if len(raws) == 0 {
+	if len(recs) == 0 {
 		return res, nil
 	}
-	// Route by id. A record whose id cannot even be peeked routes locally:
-	// it fails validation wherever it lands, and the local registry
-	// produces the canonical typed error for it.
 	batches := map[string]*ingestBatch{}
 	order := []string{}
-	for i, raw := range raws {
-		var peek struct {
-			ID string `json:"id"`
-		}
-		owner := c.self
-		if err := json.Unmarshal(raw, &peek); err == nil && peek.ID != "" {
-			owner = c.OwnerOf(peek.ID)
-		}
-		b, ok := batches[owner]
+	for i, rec := range recs {
+		b, ok := batches[rec.owner]
 		if !ok {
-			b = &ingestBatch{owner: owner}
-			batches[owner] = b
-			order = append(order, owner)
+			b = &ingestBatch{owner: rec.owner}
+			batches[rec.owner] = b
+			order = append(order, rec.owner)
 		}
-		b.buf.Write(raw)
+		b.buf.Write(bytes.TrimLeft(stream[rec.start:rec.end], " \t\r\n"))
 		b.buf.WriteByte('\n')
 		b.indices = append(b.indices, i)
 	}

@@ -81,7 +81,7 @@ func (r *Registry) Query(q Query) (report.FleetSummaryJSON, error) {
 		sh.mu.Unlock()
 	}
 	doc.TotalG = doc.EmbodiedShareG + doc.OperationalG
-	doc.DistinctBoMs = r.evals.len()
+	doc.DistinctBoMs = r.boms.len()
 
 	if q.GroupBy != "" {
 		doc.GroupBy = q.GroupBy
@@ -109,48 +109,88 @@ func (r *Registry) Query(q Query) (report.FleetSummaryJSON, error) {
 }
 
 // topK returns the K largest emitters (per-device total grams, ties broken
-// by id so the answer is deterministic). Each shard scans its own records
-// on a parsweep worker; the merge keeps the best K. The caller read-holds
-// r.mu.
+// by id so the answer is deterministic). Each shard keeps a bounded best-K
+// of its own records on a parsweep worker, the merge sorts the at most
+// K x shards survivors, and only the K winners become documents. The
+// caller read-holds r.mu.
 func (r *Registry) topK(k int) []report.FleetDeviceJSON {
-	perShard := parsweep.Map(r.cfg.Workers, r.shards, func(_ int, sh *shard) []report.FleetDeviceJSON {
+	perShard := parsweep.Map(r.cfg.Workers, r.shards, func(_ int, sh *shard) []*record {
 		sh.mu.Lock()
-		local := make([]report.FleetDeviceJSON, 0, len(sh.recs))
-		for _, rec := range sh.recs {
-			local = append(local, report.FleetDeviceJSON{
-				ID:             rec.dev.ID,
-				Region:         canonRegion(rec.dev.Region),
-				Node:           rec.node,
-				EmbodiedG:      rec.contrib.embodiedG,
-				EmbodiedShareG: rec.contrib.embodiedShareG,
-				OperationalG:   rec.contrib.operationalG,
-				TotalG:         rec.contrib.totalG(),
-			})
-		}
-		sh.mu.Unlock()
-		sortEmitters(local)
-		if len(local) > k {
-			local = local[:k]
-		}
-		return local
+		defer sh.mu.Unlock()
+		return bestK(sh.recs, k)
 	})
-	merged := make([]report.FleetDeviceJSON, 0, k*2)
+	n := 0
+	for _, s := range perShard {
+		n += len(s)
+	}
+	merged := make([]*record, 0, n)
 	for _, s := range perShard {
 		merged = append(merged, s...)
 	}
-	sortEmitters(merged)
+	sort.Slice(merged, func(i, j int) bool { return outranks(merged[i], merged[j]) })
 	if len(merged) > k {
 		merged = merged[:k]
 	}
-	return merged
+	out := make([]report.FleetDeviceJSON, len(merged))
+	for i, rec := range merged {
+		out[i] = report.FleetDeviceJSON{
+			ID:             rec.id,
+			Region:         canonRegion(rec.region),
+			Node:           rec.bom.node,
+			EmbodiedG:      rec.contrib.embodiedG,
+			EmbodiedShareG: rec.contrib.embodiedShareG,
+			OperationalG:   rec.contrib.operationalG,
+			TotalG:         rec.contrib.totalG(),
+		}
+	}
+	return out
 }
 
-// sortEmitters orders devices by descending total, ties by ascending id.
-func sortEmitters(devs []report.FleetDeviceJSON) {
-	sort.Slice(devs, func(i, j int) bool {
-		if devs[i].TotalG != devs[j].TotalG {
-			return devs[i].TotalG > devs[j].TotalG
+// outranks orders emitters by descending total, ties by ascending id.
+func outranks(a, b *record) bool {
+	if ta, tb := a.contrib.totalG(), b.contrib.totalG(); ta != tb {
+		return ta > tb
+	}
+	return a.id < b.id
+}
+
+// bestK returns the k records of recs that outrank all others, in no
+// particular order. It keeps them in a min-heap whose root is the weakest
+// survivor, so each further record costs one comparison unless it
+// displaces the root.
+func bestK(recs map[string]*record, k int) []*record {
+	h := make([]*record, 0, min(k, len(recs)))
+	for _, rec := range recs {
+		if len(h) < k {
+			h = append(h, rec)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !outranks(h[p], h[i]) {
+					break
+				}
+				h[p], h[i] = h[i], h[p]
+				i = p
+			}
+			continue
 		}
-		return devs[i].ID < devs[j].ID
-	})
+		if !outranks(rec, h[0]) {
+			continue
+		}
+		h[0] = rec
+		for i := 0; ; {
+			least, l, r := i, 2*i+1, 2*i+2
+			if l < len(h) && outranks(h[least], h[l]) {
+				least = l
+			}
+			if r < len(h) && outranks(h[least], h[r]) {
+				least = r
+			}
+			if least == i {
+				break
+			}
+			h[i], h[least] = h[least], h[i]
+			i = least
+		}
+	}
+	return h
 }

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -44,6 +46,79 @@ func BenchmarkFleetIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// chunkBodies renders n NDJSON request bodies of size devices each, the
+// shape actd ingests: BoMs drawn 90% from a 256-entry pool and the rest
+// from a 4096-entry one, and every tenth line re-sending an earlier id.
+func chunkBodies(tb testing.TB, n, size int) [][]byte {
+	tb.Helper()
+	const smallPool, largePool = 256, 4096
+	regions := []string{"united-states", "europe", "india", "world"}
+	wires := make([][]byte, smallPool+largePool)
+	for i := range wires {
+		raw, err := scenario.Marshal(testSpec(i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, raw); err != nil {
+			tb.Fatal(err)
+		}
+		wires[i] = buf.Bytes()
+	}
+	// splitmix64: a fixed stream, so every run ingests the same bodies.
+	state := uint64(1)
+	next := func(n int) int {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return int((z ^ (z >> 31)) % uint64(n))
+	}
+	bodies := make([][]byte, n)
+	for c := range bodies {
+		var buf bytes.Buffer
+		for j := 0; j < size; j++ {
+			k := c*size + j
+			id := k
+			if k > 0 && next(10) == 0 {
+				id = next(k)
+			}
+			bom := smallPool + next(largePool)
+			if next(10) < 9 {
+				bom = next(smallPool)
+			}
+			fmt.Fprintf(&buf, `{"id":"dev-%07d","region":%q,"deployed":"2024-01-01","utilization":0.%d,"scenario":%s}`+"\n",
+				id, regions[next(len(regions))], 1+next(9), wires[bom])
+		}
+		bodies[c] = buf.Bytes()
+	}
+	return bodies
+}
+
+// BenchmarkFleetIngestChunk measures ingest the way actd receives it:
+// whole 500-device NDJSON bodies (chunkBodies) into one registry, cycling
+// over 64 bodies so most BoMs are warm and later passes replace ids. It
+// reports devices/s and allocs/device.
+func BenchmarkFleetIngestChunk(b *testing.B) {
+	const size = 500
+	bodies := chunkBodies(b, 64, size)
+	reg := New(Config{Shards: 64})
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.IngestNDJSON(bytes.NewReader(bodies[i%len(bodies)]), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
+	devices := float64(b.N * size)
+	b.ReportMetric(devices/b.Elapsed().Seconds(), "devices/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/devices, "allocs/device")
 }
 
 // millionFleet is built once and shared across summary benchmarks: the

@@ -32,16 +32,16 @@ func appendBytes(b, p []byte) []byte {
 func appendString(b []byte, s string) []byte { return appendBytes(b, []byte(s)) }
 
 // encodeRecord appends the full persistent form of a record: the device
-// identity and window, the canonical scenario bytes, and the contribution
-// as computed — replay and restore apply these verbatim.
+// identity and window, its BoM's compact scenario bytes, and the
+// contribution as computed — replay and restore apply these verbatim.
 func encodeRecord(b []byte, rec *record) []byte {
-	b = appendString(b, rec.dev.ID)
-	b = appendString(b, rec.dev.Region)
-	b = appendI64(b, rec.dev.Deployed.UnixNano())
-	b = appendI64(b, rec.dev.Retired.UnixNano())
-	b = appendF64(b, rec.dev.Utilization)
-	b = appendBytes(b, rec.specJSON)
-	b = appendString(b, rec.node)
+	b = appendString(b, rec.id)
+	b = appendString(b, rec.region)
+	b = appendI64(b, rec.deployed.UnixNano())
+	b = appendI64(b, rec.retired.UnixNano())
+	b = appendF64(b, rec.utilization)
+	b = appendBytes(b, rec.bom.specJSON)
+	b = appendString(b, rec.bom.node)
 	b = appendF64(b, rec.contrib.embodiedG)
 	b = appendF64(b, rec.contrib.embodiedShareG)
 	b = appendF64(b, rec.contrib.operationalG)
@@ -111,31 +111,39 @@ func (d *reader) bytes() []byte {
 func (d *reader) str() string { return string(d.bytes()) }
 
 // decodeRecord reads one persistent record and rebuilds its in-memory
-// form. The scenario is re-parsed (it is needed live for recompute), but
-// the contribution is taken verbatim from the stream.
-func decodeRecord(d *reader) (*record, error) {
+// form, taking the contribution verbatim from the stream. The scenario
+// bytes — either the compact form this package writes or the indented
+// form older writers did — resolve by canonical key like ingested ones,
+// and a BoM not yet in t gets an unretained candidate entry carrying the
+// persisted node and the record's embodied figure.
+func decodeRecord(d *reader, t *bomTable) (*record, error) {
 	rec := &record{}
-	rec.dev.ID = d.str()
-	rec.dev.Region = d.str()
+	rec.id = d.str()
+	rec.region = d.str()
 	deployed := d.i64()
 	retired := d.i64()
-	rec.dev.Utilization = d.f64()
-	rec.specJSON = d.bytes()
-	rec.node = d.str()
+	rec.utilization = d.f64()
+	specJSON := d.bytes()
+	node := d.str()
 	rec.contrib.embodiedG = d.f64()
 	rec.contrib.embodiedShareG = d.f64()
 	rec.contrib.operationalG = d.f64()
 	if d.err != nil {
 		return nil, d.err
 	}
-	rec.dev.Deployed = time.Unix(0, deployed).UTC()
-	rec.dev.Retired = time.Unix(0, retired).UTC()
-	spec, err := scenario.Unmarshal(rec.specJSON)
+	rec.deployed = time.Unix(0, deployed).UTC()
+	rec.retired = time.Unix(0, retired).UTC()
+	spec, err := scenario.Unmarshal(specJSON)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: persisted scenario for %q: %w", rec.dev.ID, err)
+		return nil, fmt.Errorf("fleet: persisted scenario for %q: %w", rec.id, err)
 	}
-	rec.dev.Spec = spec
-	rec.key = spec.CanonicalKey()
-	rec.class = canonClass(spec.Name)
+	key := spec.CanonicalKey()
+	if rec.bom = t.lookup(key); rec.bom == nil {
+		compact, err := scenario.MarshalCompact(spec)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: persisted scenario for %q: %w", rec.id, err)
+		}
+		rec.bom = newEntry(spec, compact, key, node, rec.contrib.embodiedG)
+	}
 	return rec, nil
 }

@@ -8,8 +8,9 @@
 //
 //   - Devices are upserted with an id, a deployment region, deploy/retire
 //     dates, a utilization fraction, and a scenario BoM. Identical BoMs
-//     (dedup-keyed by scenario.CanonicalKey) share one embodied-carbon
-//     evaluation.
+//     (dedup-keyed by scenario.CanonicalKey) share one BoM table entry:
+//     one parsed spec, one embodied-carbon evaluation, one copy of the
+//     persisted scenario bytes.
 //   - Every upsert/remove updates its shard's running totals: the
 //     amortized embodied share follows Eq. 1's T/LT with T the device's
 //     deployed window capped at LT; the operational share prices the
@@ -26,7 +27,7 @@ package fleet
 
 import (
 	"fmt"
-	"hash/fnv"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -87,11 +88,6 @@ func (d *Device) Validate() error {
 	return nil
 }
 
-// activeYears is the deployed window in years.
-func (d *Device) activeYears() float64 {
-	return d.Retired.Sub(d.Deployed).Hours() / (365.25 * 24)
-}
-
 // contribution is what one device adds to its shard's running totals.
 // It is computed once at upsert (or recompute) and carried verbatim
 // through the write-ahead log and snapshots, so replay and restore never
@@ -108,24 +104,40 @@ type contribution struct {
 
 func (c contribution) totalG() float64 { return c.embodiedShareG + c.operationalG }
 
-// record is a registered device plus everything derived from it.
+// record is one registered device: only what differs device to device.
+// Everything derived from the BoM — the spec, its persisted bytes, the
+// dedup key, node, class and embodied footprint — lives once in the BoM
+// table entry the record points at, shared by every device deployed with
+// that BoM. Records are immutable once applied: a replacement or a
+// recompute installs a new record, so readers that found one under a
+// shard lock may keep reading it after the lock is released.
 type record struct {
-	dev Device
-	// specJSON is the canonical scenario.Marshal form, the bytes snapshots
-	// and the write-ahead log carry.
-	specJSON []byte
-	// key is scenario.CanonicalKey of the BoM — the embodied-evaluation
-	// dedup key.
-	key string
-	// node is the canonical primary process node (the first logic die's,
-	// snapped), the group-by-node dimension; "" for logic-less devices.
-	node string
-	// class is the canonical device-class name (the scenario's device
-	// name), the group-by-class dimension the telemetry exporter keys its
-	// per-class series on. Derived from the spec, so it is never persisted:
-	// restore and replay rebuild it from the scenario bytes.
-	class   string
-	contrib contribution
+	id     string
+	region string
+	// deployed and retired bound the in-service window (UTC).
+	deployed, retired time.Time
+	utilization       float64
+	contrib           contribution
+	bom               *bomEntry
+}
+
+// price computes the record's contribution: Eq. 1's amortized embodied
+// share of its BoM plus the operational emissions of its deployed window
+// at intensity ci.
+func (rec *record) price(embodiedG float64, ci units.CarbonIntensity) contribution {
+	spec := rec.bom.spec
+	activeHours := rec.retired.Sub(rec.deployed).Hours()
+	amort := activeHours / (365.25 * 24) / spec.Lifetime()
+	if amort > 1 {
+		amort = 1
+	}
+	energyKWh := spec.Usage.PowerW * activeHours / 1000
+	opG := ci.Emitted(units.KilowattHours(energyKWh)).Grams() * rec.utilization
+	return contribution{
+		embodiedG:      embodiedG,
+		embodiedShareG: embodiedG * amort,
+		operationalG:   opG,
+	}
 }
 
 // aggregate is one shard's running totals.
@@ -173,9 +185,9 @@ func newShard() *shard {
 func (sh *shard) applyLocked(rec *record, sign float64) {
 	sh.agg.add(rec.contrib, sign)
 	sh.agg.devices += int64(sign)
-	applyGroup(sh.byRegion, canonRegion(rec.dev.Region), rec.contrib, sign)
-	applyGroup(sh.byNode, rec.node, rec.contrib, sign)
-	applyGroup(sh.byClass, rec.class, rec.contrib, sign)
+	applyGroup(sh.byRegion, canonRegion(rec.region), rec.contrib, sign)
+	applyGroup(sh.byNode, rec.bom.node, rec.contrib, sign)
+	applyGroup(sh.byClass, rec.bom.class, rec.contrib, sign)
 }
 
 func applyGroup(dim map[string]*groupAgg, key string, c contribution, sign float64) {
@@ -274,7 +286,7 @@ type Registry struct {
 	mu     sync.RWMutex
 	cfg    Config
 	shards []*shard
-	evals  evalCache
+	boms   bomTable
 	count  atomic.Int64
 	// gen counts structural mutations (upsert, remove, restore, recompute
 	// install). A staged recompute remembers the generation it priced and
@@ -290,7 +302,7 @@ func New(cfg Config) *Registry {
 	for i := range r.shards {
 		r.shards[i] = newShard()
 	}
-	r.evals.entries = map[string]*evalEntry{}
+	r.boms.reset(nil)
 	return r
 }
 
@@ -299,18 +311,29 @@ func (r *Registry) Len() int { return int(r.count.Load()) }
 
 // shardFor picks the shard owning an id.
 func (r *Registry) shardFor(id string) *shard {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id))
-	return r.shards[h.Sum64()%uint64(len(r.shards))]
+	return r.shards[ShardIndex(id, len(r.shards))]
 }
 
 // Upsert registers dev, replacing any device with the same ID, and folds
 // its contribution into the owning shard's running totals. The embodied
-// evaluation is shared across identical BoMs. Validation failures are
-// typed; a write-ahead-log failure aborts the upsert with the registry
-// unchanged.
+// evaluation is shared across identical BoMs, and so is dev.Spec: the
+// registry keeps it, so callers must not modify it afterwards. Validation
+// failures are typed; a write-ahead-log failure aborts the upsert with the
+// registry unchanged.
 func (r *Registry) Upsert(dev Device) (replaced bool, err error) {
-	rec, err := r.evaluate(&dev)
+	if err := dev.Validate(); err != nil {
+		return false, fmt.Errorf("fleet: %w", err)
+	}
+	bom, err := r.boms.forSpec(dev.Spec)
+	if err != nil {
+		return false, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
+	}
+	return r.upsert(&dev, bom)
+}
+
+// upsert prices a validated device on its BoM entry and applies it.
+func (r *Registry) upsert(dev *Device, bom *bomEntry) (replaced bool, err error) {
+	rec, err := r.evaluate(dev, bom)
 	if err != nil {
 		return false, err
 	}
@@ -319,64 +342,30 @@ func (r *Registry) Upsert(dev Device) (replaced bool, err error) {
 	return r.apply(rec, true)
 }
 
-// evaluate derives a full record from a validated device: canonical spec
-// bytes, dedup key, primary node, and the contribution priced under the
-// registry's resolver.
-func (r *Registry) evaluate(dev *Device) (*record, error) {
-	if err := dev.Validate(); err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	specJSON, err := scenario.Marshal(dev.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
-	}
-	node, err := primaryNode(dev.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
-	}
-	key := dev.Spec.CanonicalKey()
-	embodiedG, err := r.evals.embodied(key, dev.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
-	}
+// evaluate derives a record from a validated device and its BoM entry,
+// pricing the contribution under the registry's resolver.
+func (r *Registry) evaluate(dev *Device, bom *bomEntry) (*record, error) {
 	ci, err := r.cfg.Resolver(dev.Region)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	return &record{
-		dev:      *dev,
-		specJSON: specJSON,
-		key:      key,
-		node:     node,
-		class:    canonClass(dev.Spec.Name),
-		contrib:  contributionOf(dev, embodiedG, ci),
-	}, nil
-}
-
-// contributionOf prices a device: Eq. 1's amortized embodied share plus
-// the operational emissions of its deployed window.
-func contributionOf(dev *Device, embodiedG float64, ci units.CarbonIntensity) contribution {
-	lt := dev.Spec.Lifetime()
-	active := dev.activeYears()
-	amort := active / lt
-	if amort > 1 {
-		amort = 1
+	rec := &record{
+		id:          dev.ID,
+		region:      dev.Region,
+		deployed:    dev.Deployed.UTC(),
+		retired:     dev.Retired.UTC(),
+		utilization: dev.Utilization,
+		bom:         bom,
 	}
-	activeHours := dev.Retired.Sub(dev.Deployed).Hours()
-	energyKWh := dev.Spec.Usage.PowerW * activeHours / 1000
-	opG := ci.Emitted(units.KilowattHours(energyKWh)).Grams() * dev.Utilization
-	return contribution{
-		embodiedG:      embodiedG,
-		embodiedShareG: embodiedG * amort,
-		operationalG:   opG,
-	}
+	rec.contrib = rec.price(bom.embodiedG, ci)
+	return rec, nil
 }
 
 // apply commits a fully evaluated record: chaos seam, write-ahead log,
 // then the in-memory mutation (which cannot fail). The caller read-holds
 // r.mu.
 func (r *Registry) apply(rec *record, logIt bool) (replaced bool, err error) {
-	sh := r.shardFor(rec.dev.ID)
+	sh := r.shardFor(rec.id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := faultinject.VisitNoCtx(faultinject.SiteFleetShard); err != nil {
@@ -387,18 +376,18 @@ func (r *Registry) apply(rec *record, logIt bool) (replaced bool, err error) {
 			return false, fmt.Errorf("fleet: write-ahead log: %w", err)
 		}
 	}
-	old, existed := sh.recs[rec.dev.ID]
+	old, existed := sh.recs[rec.id]
 	if existed {
 		sh.applyLocked(old, -1)
 	} else {
 		r.count.Add(1)
 	}
 	r.gen.Add(1)
-	sh.recs[rec.dev.ID] = rec
+	rec.bom = r.boms.retain(rec.bom)
+	sh.recs[rec.id] = rec
 	sh.applyLocked(rec, +1)
-	r.evals.retain(rec.key, rec.contrib.embodiedG)
 	if existed {
-		r.evals.release(old.key)
+		r.boms.release(old.bom)
 	}
 	return existed, nil
 }
@@ -431,7 +420,7 @@ func (r *Registry) remove(id string, logIt bool) (bool, error) {
 	sh.applyLocked(rec, -1)
 	r.count.Add(-1)
 	r.gen.Add(1)
-	r.evals.release(rec.key)
+	r.boms.release(rec.bom)
 	return true, nil
 }
 
@@ -460,71 +449,136 @@ func canonClass(s string) string {
 	return strings.ToLower(strings.TrimSpace(s))
 }
 
-// evalCache shares one embodied-carbon evaluation across every device
-// with the same canonical BoM, refcounted so DistinctBoMs stays exact as
-// devices come and go.
-type evalCache struct {
-	mu      sync.Mutex
-	entries map[string]*evalEntry
+// bomTable is the registry's BoM table. A fleet deploys a handful of
+// distinct bills of materials across many devices, so everything derived
+// from a BoM is kept once per canonical key (scenario.CanonicalKey) in a
+// refcounted entry that every record deployed with it points at; the
+// entry count is the summary's DistinctBoMs, exact as devices come and go.
+type bomTable struct {
+	mu    sync.Mutex
+	byKey map[string]*bomEntry
 }
 
-type evalEntry struct {
+// bomEntry is one distinct BoM. Every field but refs is immutable once the
+// entry is built, so records read them without the table lock.
+type bomEntry struct {
+	// spec is the shared parsed scenario; nothing may modify it.
+	spec *scenario.Spec
+	// specJSON is the compact scenario.MarshalCompact form, the bytes WAL
+	// frames and snapshots carry for every device on this BoM.
+	specJSON []byte
+	// key is the canonical BoM key, the dedup identity.
+	key string
+	// node is the canonical primary process node (the first logic die's,
+	// snapped), the group-by-node dimension; "" for logic-less devices.
+	node string
+	// class is the canonical device-class name (the scenario's device
+	// name), the group-by-class dimension the telemetry exporter keys its
+	// per-class series on. Derived from the spec, so it is never persisted.
+	class string
+	// embodiedG is the BoM's full embodied footprint (ECF).
 	embodiedG float64
-	refs      int
+	// refs counts the records pointing here; guarded by bomTable.mu.
+	refs int
 }
 
-// embodied returns the shared evaluation for key, computing it on first
-// sight. The model evaluation runs under the cache lock: misses are as
-// rare as distinct BoMs, and the evaluation is microseconds of pure table
-// math. Nothing is inserted here — retain does, once the upsert commits —
-// so an upsert that later fails leaves no zero-ref residue behind.
-func (c *evalCache) embodied(key string, spec *scenario.Spec) (float64, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return e.embodiedG, nil
-	}
-	c.mu.Unlock()
-	return embodiedOf(spec)
+// lookup returns the live entry for a canonical key, or nil.
+func (t *bomTable) lookup(key string) *bomEntry {
+	t.mu.Lock()
+	e := t.byKey[key]
+	t.mu.Unlock()
+	return e
 }
 
-// retain bumps the refcount for key (inserting if the entry was evicted
-// between evaluation and apply).
-func (c *evalCache) retain(key string, embodiedG float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &evalEntry{embodiedG: embodiedG}
-		c.entries[key] = e
+// forSpec returns the entry for spec's BoM: the live one with the same
+// canonical key, or a new unretained candidate evaluated on first sight.
+// The model evaluation runs outside the table lock, and nothing is
+// inserted here — retain does, once the upsert commits — so an upsert
+// that later fails leaves no zero-ref residue.
+func (t *bomTable) forSpec(spec *scenario.Spec) (*bomEntry, error) {
+	key := spec.CanonicalKey()
+	if e := t.lookup(key); e != nil {
+		return e, nil
 	}
-	e.refs++
+	specJSON, err := scenario.MarshalCompact(spec)
+	if err != nil {
+		return nil, err
+	}
+	node, err := primaryNode(spec)
+	if err != nil {
+		return nil, err
+	}
+	embodiedG, err := embodiedOf(spec)
+	if err != nil {
+		return nil, err
+	}
+	return newEntry(spec, specJSON, key, node, embodiedG), nil
+}
+
+// newEntry assembles an unretained entry.
+func newEntry(spec *scenario.Spec, specJSON []byte, key, node string, embodiedG float64) *bomEntry {
+	return &bomEntry{
+		spec:      spec,
+		specJSON:  specJSON,
+		key:       key,
+		node:      node,
+		class:     canonClass(spec.Name),
+		embodiedG: embodiedG,
+	}
+}
+
+// retain takes a reference on the live entry for e's key and returns it:
+// the existing one if another device holds the key, else e, inserted.
+func (t *bomTable) retain(e *bomEntry) *bomEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if live, ok := t.byKey[e.key]; ok {
+		live.refs++
+		return live
+	}
+	t.byKey[e.key] = e
+	e.refs = 1
+	return e
 }
 
 // release drops one reference; the entry is evicted at zero.
-func (c *evalCache) release(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.refs--
-		if e.refs <= 0 {
-			delete(c.entries, key)
-		}
+func (t *bomTable) release(e *bomEntry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e.refs--
+	if e.refs == 0 && t.byKey[e.key] == e {
+		delete(t.byKey, e.key)
 	}
 }
 
-// len returns the distinct-BoM count.
-func (c *evalCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// sorted returns the live entries in key order.
+func (t *bomTable) sorted() []*bomEntry {
+	t.mu.Lock()
+	out := make([]*bomEntry, 0, len(t.byKey))
+	for _, e := range t.byKey {
+		out = append(out, e)
+	}
+	t.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
-// reset replaces the cache contents wholesale (restore/recompute).
-func (c *evalCache) reset(entries map[string]*evalEntry) {
-	c.mu.Lock()
-	c.entries = entries
-	c.mu.Unlock()
+// len returns the distinct-BoM count.
+func (t *bomTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.byKey)
+}
+
+// reset replaces the table contents wholesale (restore/recompute) with
+// entries, whose refcounts are already set.
+func (t *bomTable) reset(entries map[string]*bomEntry) {
+	if entries == nil {
+		entries = map[string]*bomEntry{}
+	}
+	t.mu.Lock()
+	t.byKey = entries
+	t.mu.Unlock()
 }
 
 // embodiedOf evaluates the BoM's full embodied footprint (ECF).

@@ -12,10 +12,7 @@
 
 package fleet
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "sort"
 
 // GroupSlot is one group-by entry of one shard's running totals.
 type GroupSlot struct {
@@ -115,19 +112,17 @@ func groupSlots(dim map[string]*groupAgg) []GroupSlot {
 // distinct canonical BoM keys. The cluster fold counts DistinctBoMs as
 // the size of the union of every node's hash set: a BoM deployed on two
 // nodes contributes one element, exactly as the single registry's
-// refcounted eval cache counts it. Hashes travel instead of the keys
+// refcounted BoM table counts it. Hashes travel instead of the keys
 // themselves because a canonical key is a full scenario encoding; the
 // count is exact unless two distinct keys in the same fleet collide in
 // 64 bits.
 func (r *Registry) BoMKeyHashes() []uint64 {
-	r.evals.mu.Lock()
-	out := make([]uint64, 0, len(r.evals.entries))
-	for k := range r.evals.entries {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(k))
-		out = append(out, h.Sum64())
+	r.boms.mu.Lock()
+	out := make([]uint64, 0, len(r.boms.byKey))
+	for k := range r.boms.byKey {
+		out = append(out, fnvAdd(fnvOffset64, k))
 	}
-	r.evals.mu.Unlock()
+	r.boms.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -138,7 +133,5 @@ func (r *Registry) BoMKeyHashes() []uint64 {
 // the routing layer and the registry can never disagree about which
 // shard a device lives in.
 func ShardIndex(id string, shards int) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id))
-	return int(h.Sum64() % uint64(shards))
+	return int(fnvAdd(fnvOffset64, id) % uint64(shards))
 }

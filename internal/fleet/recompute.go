@@ -47,7 +47,7 @@ type StagedRecompute struct {
 	r      *Registry
 	gen    uint64
 	shards []*shard
-	evals  map[string]*evalEntry
+	boms   map[string]*bomEntry
 	count  int64
 }
 
@@ -59,11 +59,11 @@ type StagedRecompute struct {
 func (r *Registry) PrepareRecompute(ctx context.Context) (*StagedRecompute, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	staged, evals, count, err := r.stageLocked(ctx)
+	staged, boms, count, err := r.stageLocked(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &StagedRecompute{r: r, gen: r.gen.Load(), shards: staged, evals: evals, count: count}, nil
+	return &StagedRecompute{r: r, gen: r.gen.Load(), shards: staged, boms: boms, count: count}, nil
 }
 
 // Commit installs the staged state, restaging first when the registry
@@ -74,13 +74,13 @@ func (s *StagedRecompute) Commit(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.gen.Load() != s.gen {
-		staged, evals, count, err := r.stageLocked(ctx)
+		staged, boms, count, err := r.stageLocked(ctx)
 		if err != nil {
 			return err
 		}
-		s.shards, s.evals, s.count = staged, evals, count
+		s.shards, s.boms, s.count = staged, boms, count
 	}
-	r.installLocked(s.shards, s.evals, s.count)
+	r.installLocked(s.shards, s.boms, s.count)
 	if r.log != nil {
 		if err := r.log.Append([]byte{opRecompute}); err != nil {
 			return fmt.Errorf("fleet: write-ahead log: %w", err)
@@ -90,53 +90,43 @@ func (s *StagedRecompute) Commit(ctx context.Context) error {
 }
 
 // Abort discards the staged state. Safe to call after a failed Commit.
-func (s *StagedRecompute) Abort() { s.shards, s.evals = nil, nil }
+func (s *StagedRecompute) Abort() { s.shards, s.boms = nil, nil }
 
 // recomputeLocked stages and installs in one step — the single-node
 // path. The caller write-holds r.mu (no readers hold shard locks, so
 // shard state is touched directly).
 func (r *Registry) recomputeLocked(ctx context.Context) error {
-	staged, evals, count, err := r.stageLocked(ctx)
+	staged, boms, count, err := r.stageLocked(ctx)
 	if err != nil {
 		return err
 	}
-	r.installLocked(staged, evals, count)
+	r.installLocked(staged, boms, count)
 	return nil
 }
 
-// stageLocked reprices every record into fresh replacement shards
-// without touching the live ones. The caller write-holds r.mu.
-func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*evalEntry, int64, error) {
-	// One representative spec per distinct BoM, evaluated once each.
-	reps := map[string]*scenario.Spec{}
-	for _, sh := range r.shards {
-		for _, rec := range sh.recs {
-			if _, ok := reps[rec.key]; !ok {
-				reps[rec.key] = rec.dev.Spec
-			}
-		}
-	}
-	keys := make([]string, 0, len(reps))
-	for k := range reps {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// stageLocked reprices every record into fresh replacement shards and a
+// fresh BoM table without touching the live ones. The caller write-holds
+// r.mu.
+func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*bomEntry, int64, error) {
+	// The BoM table holds exactly the distinct BoMs of the live records;
+	// each is evaluated once.
+	live := r.boms.sorted()
 	// Reprice the deduped BoM set through the columnar engine: contiguous
 	// chunks of the sorted key list fan across the pool, each evaluated as
 	// one column batch. EmbodiedTotals reports a chunk's lowest-index item
 	// error and chunks are ascending, so the surfaced error is the same
 	// lowest-key one the per-key fan-out reported.
-	vals := make([]float64, len(keys))
-	specs := make([]*scenario.Spec, len(keys))
-	for i, k := range keys {
-		specs[i] = reps[k]
+	vals := make([]float64, len(live))
+	specs := make([]*scenario.Spec, len(live))
+	for i, e := range live {
+		specs[i] = e.spec
 	}
 	type span struct{ start, end int }
-	nChunks := (len(keys) + colbatch.DefaultChunk - 1) / colbatch.DefaultChunk
+	nChunks := (len(live) + colbatch.DefaultChunk - 1) / colbatch.DefaultChunk
 	chunks := make([]span, nChunks)
 	for c := range chunks {
 		start := c * colbatch.DefaultChunk
-		chunks[c] = span{start, min(start+colbatch.DefaultChunk, len(keys))}
+		chunks[c] = span{start, min(start+colbatch.DefaultChunk, len(live))}
 	}
 	if _, err := parsweep.MapErrCtx(ctx, r.cfg.Workers, chunks, func(ctx context.Context, _ int, ch span) (struct{}, error) {
 		if err := ctx.Err(); err != nil {
@@ -146,9 +136,13 @@ func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*evalE
 	}); err != nil {
 		return nil, nil, 0, fmt.Errorf("fleet: recompute: %w", err)
 	}
-	embodied := make(map[string]float64, len(keys))
-	for i, k := range keys {
-		embodied[k] = vals[i]
+	// The repriced entries differ from the live ones only in embodiedG;
+	// the staged records point at them.
+	boms := make(map[string]*bomEntry, len(live))
+	for i, old := range live {
+		e := *old
+		e.embodiedG, e.refs = vals[i], 0
+		boms[e.key] = &e
 	}
 
 	// Stage replacement shards — nothing mutates until every record has
@@ -162,20 +156,15 @@ func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*evalE
 		sort.Strings(ids)
 		for _, id := range ids {
 			old := sh.recs[id]
-			ci, err := r.cfg.Resolver(old.dev.Region)
+			ci, err := r.cfg.Resolver(old.region)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: recompute device %q: %w", id, err)
 			}
-			rec := &record{
-				dev:      old.dev,
-				specJSON: old.specJSON,
-				key:      old.key,
-				node:     old.node,
-				class:    old.class,
-				contrib:  contributionOf(&old.dev, embodied[old.key], ci),
-			}
-			ns.recs[id] = rec
-			ns.applyLocked(rec, +1)
+			rec := *old
+			rec.bom = boms[old.bom.key]
+			rec.contrib = rec.price(rec.bom.embodiedG, ci)
+			ns.recs[id] = &rec
+			ns.applyLocked(&rec, +1)
 		}
 		return ns, nil
 	})
@@ -183,26 +172,20 @@ func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*evalE
 		return nil, nil, 0, err
 	}
 
-	entries := map[string]*evalEntry{}
 	var count int64
 	for _, ns := range staged {
 		count += ns.agg.devices
 		for _, rec := range ns.recs {
-			e, ok := entries[rec.key]
-			if !ok {
-				e = &evalEntry{embodiedG: rec.contrib.embodiedG}
-				entries[rec.key] = e
-			}
-			e.refs++
+			rec.bom.refs++
 		}
 	}
-	return staged, entries, count, nil
+	return staged, boms, count, nil
 }
 
 // installLocked swaps the staged shards in. The caller write-holds r.mu.
-func (r *Registry) installLocked(staged []*shard, entries map[string]*evalEntry, count int64) {
+func (r *Registry) installLocked(staged []*shard, boms map[string]*bomEntry, count int64) {
 	copy(r.shards, staged)
-	r.evals.reset(entries)
+	r.boms.reset(boms)
 	r.count.Store(count)
 	r.gen.Add(1)
 }

@@ -148,8 +148,10 @@ func (r *Registry) Restore(rd io.Reader) (stale bool, err error) {
 
 	shards := make([]*shard, shardCount)
 	var count int64
+	var boms bomTable
+	boms.reset(nil)
 	for i := range shards {
-		sh, err := decodeShard(d)
+		sh, err := decodeShard(d, &boms)
 		if err != nil {
 			return false, fmt.Errorf("fleet: restore: shard %d: %w", i, err)
 		}
@@ -165,47 +167,37 @@ func (r *Registry) Restore(rd io.Reader) (stale bool, err error) {
 		return false, fmt.Errorf("fleet: restore: checksum mismatch (snapshot corrupt or truncated)")
 	}
 
-	// Rebuild the shared-evaluation cache from the restored records.
-	entries := map[string]*evalEntry{}
-	for _, sh := range shards {
-		for _, rec := range sh.recs {
-			e, ok := entries[rec.key]
-			if !ok {
-				e = &evalEntry{embodiedG: rec.contrib.embodiedG}
-				entries[rec.key] = e
-			}
-			e.refs++
-		}
-	}
-
 	r.mu.Lock()
 	r.shards = shards
 	r.cfg.Shards = int(shardCount)
-	r.evals.reset(entries)
+	r.boms.reset(boms.byKey)
 	r.count.Store(count)
 	r.gen.Add(1)
 	r.mu.Unlock()
 	return fp != memdb.Fingerprint(), nil
 }
 
-func decodeShard(d *reader) (*shard, error) {
+// decodeShard reads one shard, retaining each record's BoM in boms, the
+// table the restore installs.
+func decodeShard(d *reader, boms *bomTable) (*shard, error) {
 	sh := newShard()
 	n := d.u32()
 	if d.err != nil {
 		return nil, d.err
 	}
 	for i := uint32(0); i < n; i++ {
-		rec, err := decodeRecord(d)
+		rec, err := decodeRecord(d, boms)
 		if err != nil {
 			return nil, err
 		}
-		sh.recs[rec.dev.ID] = rec
+		rec.bom = boms.retain(rec.bom)
+		sh.recs[rec.id] = rec
 		// The class dimension is derived from the scenario, not persisted:
 		// rebuild it here, folding in the stream's sorted-by-id record order
 		// so a restore is deterministic. (Unlike the persisted byRegion and
 		// byNode maps, the fold order differs from live apply order, so a
 		// restored class sum may differ from the live one in the last ulp.)
-		applyGroup(sh.byClass, rec.class, rec.contrib, +1)
+		applyGroup(sh.byClass, rec.bom.class, rec.contrib, +1)
 	}
 	sh.agg.devices = int64(d.u64())
 	sh.agg.embodiedG = d.f64()

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"act/internal/scenario"
 )
 
 // TestConcurrentShardConsistency hammers the registry from many goroutines
@@ -21,6 +24,13 @@ func TestConcurrentShardConsistency(t *testing.T) {
 	)
 	reg := New(Config{Shards: 16})
 	regions := []string{"united-states", "europe", "india", "world"}
+	wires := make([][]byte, 6)
+	for i := range wires {
+		var err error
+		if wires[i], err = scenario.MarshalCompact(testSpec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
@@ -33,6 +43,15 @@ func TestConcurrentShardConsistency(t *testing.T) {
 				case i%5 == 4:
 					if _, err := reg.Remove(id); err != nil {
 						t.Errorf("remove: %v", err)
+						return
+					}
+				case i%5 == 2:
+					// NDJSON resolves BoMs by canonical key while
+					// other writers evict and rebuild the same entries.
+					line := fmt.Sprintf(`{"id":%q,"region":%q,"deployed":"2024-01-01","utilization":0.5,"scenario":%s}`,
+						id, regions[(g+i)%len(regions)], wires[(g+i)%6])
+					if _, err := reg.IngestNDJSON(strings.NewReader(line), 0); err != nil {
+						t.Errorf("ingest: %v", err)
 						return
 					}
 				default:
@@ -71,6 +90,18 @@ func TestConcurrentShardConsistency(t *testing.T) {
 	}
 	if len(top.Top) != doc.Devices {
 		t.Fatalf("full top-K returned %d devices, summary says %d", len(top.Top), doc.Devices)
+	}
+
+	// The BoM table holds exactly the surviving devices' BoMs.
+	refs := 0
+	for k, e := range reg.boms.byKey {
+		if e.key != k || e.refs <= 0 {
+			t.Fatalf("entry %q: key %q, refs %d", k, e.key, e.refs)
+		}
+		refs += e.refs
+	}
+	if refs != reg.Len() {
+		t.Fatalf("entry refs total %d, registry holds %d devices", refs, reg.Len())
 	}
 
 	// The incremental totals must agree with the canonical refold — the

@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 )
 
@@ -68,14 +67,17 @@ func frameBytes(payload []byte) []byte {
 	frame := make([]byte, 0, len(payload)+12)
 	frame = appendU32(frame, uint32(len(payload)))
 	frame = append(frame, payload...)
-	h := fnv.New64a()
-	_, _ = h.Write(payload)
-	frame = appendU64(frame, h.Sum64())
-	return frame
+	return appendU64(frame, fnvAdd(fnvOffset64, payload))
 }
 
+// recordSlack sizes an upsert payload beyond its spec bytes, which
+// dominate it: room for a typical id, region and node plus the fixed-width
+// fields, so encodeRecord rarely grows the buffer.
+const recordSlack = 160
+
 func encodeUpsert(rec *record) []byte {
-	b := []byte{opUpsert}
+	b := make([]byte, 1, 1+len(rec.bom.specJSON)+recordSlack)
+	b[0] = opUpsert
 	return encodeRecord(b, rec)
 }
 
@@ -105,9 +107,7 @@ func readFrame(rd io.Reader) (payload []byte, frameLen int64, err error) {
 	if len(payload) == 0 {
 		return nil, 0, fmt.Errorf("%w: empty frame", errCorruptFrame)
 	}
-	h := fnv.New64a()
-	_, _ = h.Write(payload)
-	if h.Sum64() != sum {
+	if fnvAdd(fnvOffset64, payload) != sum {
 		return nil, 0, fmt.Errorf("%w: frame checksum mismatch", errCorruptFrame)
 	}
 	return payload, int64(len(payload)) + 12, nil
@@ -119,7 +119,7 @@ func (r *Registry) applyFrame(ctx context.Context, payload []byte) error {
 	op, body := payload[0], payload[1:]
 	switch op {
 	case opUpsert:
-		rec, err := decodeRecord(&reader{r: bytes.NewReader(body)})
+		rec, err := decodeRecord(&reader{r: bytes.NewReader(body)}, &r.boms)
 		if err != nil {
 			return err
 		}

@@ -69,10 +69,11 @@ var ErrDegraded = errors.New("fleet: persistence degraded, store is read-only")
 // fnvOffset64 is the FNV-64a offset basis, the rolling checksum's seed.
 const fnvOffset64 = 14695981039346656037
 
-// fnvAdd folds bytes into a running FNV-64a state.
-func fnvAdd(h uint64, p []byte) uint64 {
-	for _, c := range p {
-		h ^= uint64(c)
+// fnvAdd folds bytes into a running FNV-64a state. It takes strings as
+// they are, so hashing a device id or a key converts nothing.
+func fnvAdd[T string | []byte](h uint64, p T) uint64 {
+	for i := 0; i < len(p); i++ {
+		h ^= uint64(p[i])
 		h *= 1099511628211
 	}
 	return h

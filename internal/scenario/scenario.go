@@ -114,8 +114,17 @@ type Spec struct {
 // hand-written scenarios fail loudly, and normalizes the envelope version
 // (missing defaults to 1, anything else is a typed error).
 func Parse(r io.Reader) (*Spec, error) {
+	return decode(newStrictDecoder(r))
+}
+
+func newStrictDecoder(r io.Reader) *json.Decoder {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
+	return dec
+}
+
+// decode reads the next scenario document from dec.
+func decode(dec *json.Decoder) (*Spec, error) {
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)

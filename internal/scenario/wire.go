@@ -37,9 +37,55 @@ func Marshal(s *Spec) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
+// MarshalCompact renders the same version-1 document as Marshal without
+// the indentation and trailing newline: identical fields and values, so
+// Unmarshal reads either form back to the same spec. It is the form the
+// fleet registry persists, one copy per distinct BoM.
+func MarshalCompact(s *Spec) ([]byte, error) {
+	c := *s
+	if err := c.checkVersion(); err != nil {
+		return nil, err
+	}
+	data, err := json.Marshal(&c)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	return data, nil
+}
+
 // Unmarshal decodes a single wire-form scenario. It is Parse over bytes.
 func Unmarshal(data []byte) (*Spec, error) {
 	return Parse(bytes.NewReader(data))
+}
+
+// Decoder decodes a sequence of wire-form scenarios, one per Decode call,
+// exactly as Unmarshal decodes each, but reusing one JSON decoder's buffer
+// and parse state across calls where Unmarshal builds them afresh — about
+// a dozen allocations per document. A fleet ingest stream carries one
+// scenario per device. The zero Decoder is ready to use; it is not safe
+// for concurrent use.
+type Decoder struct {
+	src bytes.Reader
+	dec *json.Decoder
+	// fed counts the bytes handed to dec since it was made.
+	fed int64
+}
+
+// Decode is Unmarshal(data).
+func (d *Decoder) Decode(data []byte) (*Spec, error) {
+	d.src.Reset(data)
+	if d.dec == nil {
+		d.dec, d.fed = newStrictDecoder(&d.src), 0
+	}
+	d.fed += int64(len(data))
+	s, err := decode(d.dec)
+	// The JSON decoder is reused only from a clean document boundary: after
+	// a failure, or with bytes of data left unread, the next call starts a
+	// fresh one.
+	if err != nil || d.dec.InputOffset() != d.fed {
+		d.dec = nil
+	}
+	return s, err
 }
 
 // ParseRequest decodes a footprint request body that is either one

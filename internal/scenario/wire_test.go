@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,6 +108,69 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 	if string(again) != string(data) {
 		t.Error("Marshal(Unmarshal(Marshal(x))) != Marshal(x)")
+	}
+}
+
+// TestMarshalCompactMatchesIndented pins the compact form to the indented
+// one: the same document minus whitespace, read back to the same spec.
+func TestMarshalCompactMatchesIndented(t *testing.T) {
+	compact, err := MarshalCompact(Example())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, []byte(exampleWire)); err != nil {
+		t.Fatal(err)
+	}
+	if string(compact) != want.String() {
+		t.Errorf("compact form drifted:\ngot  %s\nwant %s", compact, want.Bytes())
+	}
+	back, err := Unmarshal(compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.CanonicalKey() != Example().CanonicalKey() {
+		t.Error("compact round trip changed the canonical key")
+	}
+}
+
+// TestDecoderMatchesUnmarshal feeds one Decoder a sequence of documents —
+// valid ones between failures, trailing bytes, two documents in one call —
+// and checks each outcome against a fresh Unmarshal, so no state leaks
+// from one document into the next.
+func TestDecoderMatchesUnmarshal(t *testing.T) {
+	compact, err := MarshalCompact(Example())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := strings.Replace(string(compact), `"version":1,`, ``, 1)
+	other = strings.Replace(other, `"name":"`, `"name":"other-`, 1)
+	docs := []string{
+		exampleWire,
+		string(compact),
+		`{"name":"x","bogus":1}`,
+		other,
+		`{"name":"x","logic":[{"name":"l","area_mm2":"big"}]}`,
+		string(compact),
+		other + "  \n",
+		other + other,
+		`{"version":2,"name":"x"}`,
+		`null`,
+		``,
+		`{"name":`,
+		`[1,2]`,
+		string(compact),
+	}
+	var d Decoder
+	for i, doc := range docs {
+		got, gerr := d.Decode([]byte(doc))
+		want, werr := Unmarshal([]byte(doc))
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("doc %d: error %v, Unmarshal says %v", i, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d: spec %+v, Unmarshal says %+v", i, got, want)
+		}
 	}
 }
 

@@ -178,6 +178,50 @@ func TestFleetAPIErrors(t *testing.T) {
 	})
 }
 
+// TestFleetIngestEnvelopeErrors: an unknown or wrongly typed field in the
+// device envelope is the client's mistake — 400 invalid_argument naming
+// device[i].<field>, counted as invalid, never as an internal error.
+func TestFleetIngestEnvelopeErrors(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	good := fleetLine(t, "a", 10, "united-states")
+	for _, tc := range []struct {
+		name, body, field string
+	}{
+		{"unknown field", good + "\n" + strings.Replace(good, `{"id":"a"`, `{"id":"b","bogus":1`, 1), "device[1].bogus"},
+		{"mistyped utilization", strings.Replace(good, `"utilization":0.5`, `"utilization":"x"`, 1), "device[0].utilization"},
+		{"mistyped id", strings.Replace(good, `"id":"a"`, `"id":5`, 1), "device[0].id"},
+		{"not an object", `[1,2]`, "device[0]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := ingestFleet(t, ts.URL, tc.body)
+			body, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+			}
+			e := decodeError(t, body)
+			if e.Code != codeInvalidArgument || e.Field != tc.field {
+				t.Fatalf("error = %s/%q, want %s/%q", e.Code, e.Field, codeInvalidArgument, tc.field)
+			}
+		})
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	exposition, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(exposition), `actd_fleet_ingest_total{code="invalid"} 4`) {
+		t.Errorf("exposition does not count 4 invalid ingests:\n%s", exposition)
+	}
+	if strings.Contains(string(exposition), `actd_fleet_ingest_total{code="error"}`) {
+		t.Errorf("a client mistake counted as an internal error:\n%s", exposition)
+	}
+}
+
 // TestFleetMetricsExposition drives the fleet API and asserts the three
 // fleet series render in /metrics with the values the traffic implies.
 func TestFleetMetricsExposition(t *testing.T) {
