@@ -71,8 +71,11 @@ cover:
 # each fuzzer a short budget beyond its committed seed corpus: the fleet
 # ingest stream, both wire-envelope fuzzers, and the script interpreter's
 # parse/eval pair (the eval fuzzer runs whole adversarial programs under
-# tight budgets and must terminate without panics or hangs), and the host
-# boundary's direct spec walk against the strict JSON round trip.
+# tight budgets and must terminate without panics or hangs), the host
+# boundary's direct spec walk against the strict JSON round trip, and the
+# cluster fold over peer-supplied partial bytes (its new inputs are
+# multi-KB partial arrays, so minimization is capped at 100 runs lest it
+# eat the whole budget).
 verify-chaos:
 	$(GO) vet -tags faultinject ./...
 	$(GO) test -race -tags faultinject ./...
@@ -84,6 +87,7 @@ verify-chaos:
 	$(GO) test -run FuzzScriptParse -fuzz FuzzScriptParse -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzScriptEval -fuzz FuzzScriptEval -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzSpecFromValue -fuzz FuzzSpecFromValue -fuzztime 10s ./internal/script/
+	$(GO) test -run FuzzPartialFold -fuzz FuzzPartialFold -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster/
 
 # Crash-consistency harness: a seeded 200+-operation trace against the
 # MemFS-backed fleet store, power-cycled after every single filesystem

@@ -13,7 +13,7 @@
 //	     [-export-url URL[,URL...]] [-export-interval 10s]
 //	     [-export-rate BYTES/S] [-export-queue-depth N] [-export-workers N]
 //	     [-script-max-steps N] [-script-max-bytes N] [-script-timeout 5s]
-//	     [-cluster-peers URL[,URL...] -cluster-self URL] [-cluster-vnodes N]
+//	     [-cluster-peers URL[,URL...] -cluster-self URL]
 //
 // Endpoints:
 //
@@ -49,7 +49,8 @@
 // and /v1/fleet/recompute runs a cluster-wide two-phase recompute. With a
 // member unreachable, summaries answer 206 with the `partial` error code
 // and the reachable members' fold. Every member must be started with the
-// same -cluster-peers list and the same -fleet-shards count.
+// same -cluster-peers list and the same -fleet-shards count; the ring's
+// 512 virtual nodes per member are fixed, so they cannot disagree.
 //
 // With -export-url actd pushes fleet carbon telemetry (Prometheus line
 // protocol, gzip) to the named collector endpoints every -export-interval,
@@ -108,7 +109,6 @@ func main() {
 		scTimeout  = flag.Duration("script-timeout", 0, "wall-clock budget per /v1/script program (0 = default 5s)")
 		clPeers    = flag.String("cluster-peers", "", "comma-separated base URLs of every cluster member, this one included (empty = single-node)")
 		clSelf     = flag.String("cluster-self", "", "this member's base URL as listed in -cluster-peers")
-		clVnodes   = flag.Int("cluster-vnodes", 0, "consistent-hash virtual nodes per member (0 = default 512)")
 	)
 	flag.Parse()
 
@@ -142,9 +142,8 @@ func main() {
 		CompactInterval: *flCompact,
 	}
 	clusterCfg := serve.ClusterConfig{
-		Self:   *clSelf,
-		Peers:  splitURLs(*clPeers),
-		Vnodes: *clVnodes,
+		Self:  *clSelf,
+		Peers: splitURLs(*clPeers),
 	}
 	if err := run(cfg, *grace, durability, exp, clusterCfg); err != nil {
 		fmt.Fprintln(os.Stderr, "actd:", err)

@@ -11,10 +11,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 
 	"act/internal/acterr"
@@ -105,9 +107,12 @@ func (p *peerClient) attempt(ctx context.Context, method, path, rawQuery, conten
 		return nil, acterr.Transient(fmt.Errorf("cluster: peer %s: %w", p.base, err))
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return nil, acterr.Transient(fmt.Errorf("cluster: peer %s: reading response: %w", p.base, err))
+	}
+	if len(b) > maxResponseBytes {
+		return nil, fmt.Errorf("cluster: peer %s: response exceeds %d bytes", p.base, maxResponseBytes)
 	}
 	if resp.StatusCode >= 500 {
 		return nil, acterr.Transient(fmt.Errorf("cluster: peer %s: %s: %s",
@@ -125,9 +130,33 @@ func compactBody(b []byte) string {
 	return strings.ReplaceAll(s, "\n", " ")
 }
 
-// get is a body-less call with query parameters.
-func (p *peerClient) get(ctx context.Context, path string, q url.Values) (*callResult, error) {
-	return p.call(ctx, http.MethodGet, path, q.Encode(), "", nil, false)
+// maxResponseBytes bounds any peer answer read into memory.
+const maxResponseBytes = 1 << 30
+
+// partial fetches the member's scatter-gather contribution for a query's
+// top-K and group dimension: the one partial exchange behind both the
+// coordinator's gather and the CLI's.
+func (p *peerClient) partial(ctx context.Context, topK int, groupBy string) (Partial, error) {
+	q := url.Values{}
+	if topK > 0 {
+		q.Set("top", strconv.Itoa(topK))
+	}
+	if groupBy != "" {
+		q.Set("by", groupBy)
+	}
+	res, err := p.call(ctx, http.MethodGet, PathPartial, q.Encode(), "", nil, false)
+	if err != nil {
+		return Partial{}, err
+	}
+	if res.status != http.StatusOK {
+		return Partial{}, fmt.Errorf("cluster: peer %s: partial answered %d: %s",
+			p.base, res.status, compactBody(res.body))
+	}
+	var part Partial
+	if err := json.Unmarshal(res.body, &part); err != nil {
+		return Partial{}, fmt.Errorf("cluster: peer %s: decoding partial: %w", p.base, err)
+	}
+	return part, nil
 }
 
 // normalizeURL canonicalizes a member base URL: scheme + host (+ path),

@@ -9,11 +9,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,18 +38,17 @@ type Config struct {
 	Self string
 	// Peers is the full static membership, this node included.
 	Peers []string
-	// Vnodes is the ring replication factor (0 = DefaultVnodes).
-	Vnodes int
 	// Registry is the node's fleet registry (required).
 	Registry *fleet.Registry
-	// Client performs inter-node HTTP (nil = a dedicated client).
-	Client *http.Client
-	// RetryAttempts is the total attempts per inter-node RPC (0 = 3).
+	// RetryAttempts is the total attempts per inter-node RPC (0 = the
+	// resilience default).
 	RetryAttempts int
 	// BreakerThreshold trips a peer's breaker after that many consecutive
-	// failures (0 = 5, negative disables per-peer breakers).
+	// failures (0 = the resilience default, negative disables per-peer
+	// breakers).
 	BreakerThreshold int
-	// BreakerOpenFor holds a tripped peer breaker open (0 = 5s).
+	// BreakerOpenFor holds a tripped peer breaker open (0 = the
+	// resilience default).
 	BreakerOpenFor time.Duration
 	// OnPeerBreakerChange observes per-peer breaker transitions (metrics).
 	OnPeerBreakerChange func(peer string, from, to resilience.State)
@@ -98,36 +97,16 @@ func New(cfg Config) (*Cluster, error) {
 		members = append(members, n)
 	}
 	sort.Strings(members)
-	selfSeen := false
-	for _, m := range members {
-		if m == self {
-			selfSeen = true
-		}
-	}
-	if !selfSeen {
+	if !slices.Contains(members, self) {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", self)
 	}
-	ring, err := NewRing(members, cfg.Vnodes)
+	// Every member must build the same ring, so the vnode count is not
+	// configurable: any other value on one member splits ownership.
+	ring, err := NewRing(members, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
 
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	attempts := cfg.RetryAttempts
-	if attempts == 0 {
-		attempts = 3
-	}
-	threshold := cfg.BreakerThreshold
-	if threshold == 0 {
-		threshold = 5
-	}
-	openFor := cfg.BreakerOpenFor
-	if openFor == 0 {
-		openFor = 5 * time.Second
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -139,7 +118,7 @@ func New(cfg Config) (*Cluster, error) {
 		ring:    ring,
 		members: members,
 		peers:   map[string]*peerClient{},
-		hc:      hc,
+		hc:      &http.Client{},
 		logf:    logf,
 	}
 	for _, m := range members {
@@ -148,18 +127,17 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		p := &peerClient{
 			base:  m,
-			hc:    hc,
-			retry: resilience.RetryPolicy{MaxAttempts: attempts},
+			hc:    c.hc,
+			retry: resilience.RetryPolicy{MaxAttempts: cfg.RetryAttempts},
 		}
-		if threshold > 0 {
-			peerName := m
+		if cfg.BreakerThreshold >= 0 {
 			p.brk = resilience.NewBreaker(resilience.BreakerConfig{
-				FailureThreshold: threshold,
-				OpenFor:          openFor,
+				FailureThreshold: cfg.BreakerThreshold,
+				OpenFor:          cfg.BreakerOpenFor,
 				OnStateChange: func(from, to resilience.State) {
-					logf("cluster: peer %s breaker %s -> %s", peerName, from, to)
+					logf("cluster: peer %s breaker %s -> %s", m, from, to)
 					if cfg.OnPeerBreakerChange != nil {
-						cfg.OnPeerBreakerChange(peerName, from, to)
+						cfg.OnPeerBreakerChange(m, from, to)
 					}
 				},
 			})
@@ -234,31 +212,10 @@ func (c *Cluster) GatherPartials(ctx context.Context, topK int, groupBy string) 
 	}
 	answers := make(chan answer, len(c.peers))
 	for name, p := range c.peers {
-		go func(name string, p *peerClient) {
-			q := url.Values{}
-			if topK > 0 {
-				q.Set("top", strconv.Itoa(topK))
-			}
-			if groupBy != "" {
-				q.Set("by", groupBy)
-			}
-			res, err := p.get(ctx, PathPartial, q)
-			if err != nil {
-				answers <- answer{peer: name, err: err}
-				return
-			}
-			if res.status != http.StatusOK {
-				answers <- answer{peer: name, err: fmt.Errorf("cluster: peer %s: partial answered %d: %s",
-					name, res.status, compactBody(res.body))}
-				return
-			}
-			var part Partial
-			if err := json.Unmarshal(res.body, &part); err != nil {
-				answers <- answer{peer: name, err: fmt.Errorf("cluster: peer %s: decoding partial: %w", name, err)}
-				return
-			}
-			answers <- answer{peer: name, p: part}
-		}(name, p)
+		go func() {
+			part, err := p.partial(ctx, topK, groupBy)
+			answers <- answer{peer: name, p: part, err: err}
+		}()
 	}
 	partials = append(partials, local)
 	for range c.peers {

@@ -2,25 +2,21 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
 
-	"act/internal/reqid"
+	"act/internal/resilience"
 )
 
 // FetchPartials gathers each member's per-shard partial over plain HTTP —
 // the fold input path `act fleet -peers` drives. Unlike Cluster.GatherPartials
-// it needs no Cluster value, no breakers and no membership ring: the caller
-// hands it the peer list, and a one-shot CLI either gets every member or an
-// error naming the one it could not reach. topK > 0 asks each member for its
-// local top-K emitters so the fold can merge them; groupBy names the one
-// group dimension the fold will read ("" for none), and each partial
-// carries only that dimension's slots.
+// it needs no Cluster value and no membership ring: the caller hands it the
+// peer list, and a one-shot CLI either gets every member or an error naming
+// the one it could not reach — one attempt per member and no breaker.
+// topK > 0 asks each member for its local top-K emitters so the fold can
+// merge them; groupBy names the one group dimension the fold will read
+// ("" for none), and each partial carries only that dimension's slots.
 func FetchPartials(ctx context.Context, hc *http.Client, bases []string, topK int, groupBy string) ([]Partial, error) {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -34,39 +30,12 @@ func FetchPartials(ctx context.Context, hc *http.Client, bases []string, topK in
 		if err != nil {
 			return nil, err
 		}
-		q := url.Values{}
-		if topK > 0 {
-			q.Set("top", strconv.Itoa(topK))
-		}
-		if groupBy != "" {
-			q.Set("by", groupBy)
-		}
-		u := nb + PathPartial
-		if enc := q.Encode(); enc != "" {
-			u += "?" + enc
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+		p := &peerClient{base: nb, hc: hc, retry: resilience.RetryPolicy{MaxAttempts: 1}}
+		part, err := p.partial(ctx, topK, groupBy)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: fetch %s: %w", nb, err)
+			return nil, err
 		}
-		reqid.Forward(ctx, req.Header)
-		resp, err := hc.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: fetch %s: %w", nb, err)
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: fetch %s: %w", nb, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("cluster: fetch %s: status %d: %s", nb, resp.StatusCode, compactBody(body))
-		}
-		var p Partial
-		if err := json.Unmarshal(body, &p); err != nil {
-			return nil, fmt.Errorf("cluster: fetch %s: decoding partial: %w", nb, err)
-		}
-		partials = append(partials, p)
+		partials = append(partials, part)
 	}
 	sort.Slice(partials, func(i, j int) bool { return partials[i].Node < partials[j].Node })
 	return partials, nil

@@ -1,18 +1,19 @@
 // The scatter-gather fold: per-node partials in, the single-registry
 // summary document out, bit for bit. Partial carries the verbatim
-// running state of every shard a node owns; Fold re-runs the exact
-// single-node fold (aggregate.go) over the gathered shards in global
-// index order. Because each shard's floats are the shard's own running
-// totals — not re-derived — and the fold visits them in the same order
-// the single registry would, the folded document is byte-identical to
-// what one registry holding the whole fleet serves.
+// running state of every shard a node owns. Fold checks what only a
+// gather can get wrong — members disagreeing on the shard count or the
+// recompute epoch, shards out of range or claimed twice — and then hands
+// the gathered shards, in global index order, to the registry's own
+// summary fold (fleet.Fold). Because each shard's floats are the shard's
+// own running totals — not re-derived — and the fold visits them in the
+// same order the single registry would, the folded document is
+// byte-identical to what one registry holding the whole fleet serves.
 
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"act/internal/faultinject"
 	"act/internal/fleet"
@@ -54,7 +55,8 @@ var ErrEpochMixed = errors.New("cluster: partials span different recompute epoch
 // the cluster's answer to Registry.Query and reproduces its bytes
 // exactly (see the package comment for why that holds).
 func Fold(q fleet.Query, partials []Partial) (report.FleetSummaryJSON, error) {
-	if err := q.Validate(); err != nil {
+	f, err := fleet.NewFold(q)
+	if err != nil {
 		return report.FleetSummaryJSON{}, err
 	}
 	if err := faultinject.VisitNoCtx(faultinject.SiteClusterFold); err != nil {
@@ -76,7 +78,8 @@ func Fold(q fleet.Query, partials []Partial) (report.FleetSummaryJSON, error) {
 				ErrEpochMixed, partials[0].Node, epoch, p.Node, p.Epoch)
 		}
 	}
-	if total <= 0 {
+	// The count comes from peer bytes and sizes the index below.
+	if total <= 0 || total > fleet.MaxShards {
 		return report.FleetSummaryJSON{}, fmt.Errorf("cluster: implausible shard count %d", total)
 	}
 
@@ -105,98 +108,19 @@ func Fold(q fleet.Query, partials []Partial) (report.FleetSummaryJSON, error) {
 		}
 	}
 
-	// The exact single-node fold, index order. Shards no node reported
-	// (empty everywhere) contribute exact zeros, which skipping preserves.
-	var doc report.FleetSummaryJSON
-	groups := map[string]*foldGroup{}
+	// Shards no node reported (empty everywhere) hold exact zeros, which
+	// the fold skips.
 	for _, o := range byIndex {
-		if o.agg == nil {
-			continue
-		}
-		sa := o.agg
-		doc.Devices += int(sa.Devices)
-		doc.EmbodiedTotalG += sa.EmbodiedG
-		doc.EmbodiedShareG += sa.EmbodiedShareG
-		doc.OperationalG += sa.OperationalG
-		if q.GroupBy != "" {
-			dim := sa.ByRegion
-			switch q.GroupBy {
-			case "node":
-				dim = sa.ByNode
-			case "class":
-				dim = sa.ByClass
-			}
-			for _, slot := range dim {
-				g, ok := groups[slot.Key]
-				if !ok {
-					g = &foldGroup{}
-					groups[slot.Key] = g
-				}
-				g.devices += slot.Devices
-				g.embodiedShareG += slot.EmbodiedShareG
-				g.operationalG += slot.OperationalG
-			}
+		if o.agg != nil {
+			f.AddShard(o.agg)
 		}
 	}
-	doc.TotalG = doc.EmbodiedShareG + doc.OperationalG
-
 	distinct := map[uint64]struct{}{}
 	for _, p := range partials {
 		for _, h := range p.BoMHashes {
 			distinct[h] = struct{}{}
 		}
+		f.AddTop(p.Top)
 	}
-	doc.DistinctBoMs = len(distinct)
-
-	if q.GroupBy != "" {
-		doc.GroupBy = q.GroupBy
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		doc.Groups = make([]report.FleetGroupJSON, 0, len(keys))
-		for _, k := range keys {
-			g := groups[k]
-			doc.Groups = append(doc.Groups, report.FleetGroupJSON{
-				Key:            k,
-				Devices:        int(g.devices),
-				EmbodiedShareG: g.embodiedShareG,
-				OperationalG:   g.operationalG,
-				TotalG:         g.embodiedShareG + g.operationalG,
-			})
-		}
-	}
-	if q.TopK > 0 {
-		var merged []report.FleetDeviceJSON
-		for _, p := range partials {
-			merged = append(merged, p.Top...)
-		}
-		sortEmitters(merged)
-		if len(merged) > q.TopK {
-			merged = merged[:q.TopK]
-		}
-		doc.Top = merged
-	}
-	return doc, nil
-}
-
-// foldGroup accumulates one group-by key across shards, mirroring the
-// registry's groupAgg so int64 device counts fold identically.
-type foldGroup struct {
-	devices        int64
-	embodiedShareG float64
-	operationalG   float64
-}
-
-// sortEmitters orders devices by descending total, ties by ascending id
-// — the registry's own top-K order. Per-node lists are each the node's
-// true local top K, so the merged-and-truncated list is the global top K.
-func sortEmitters(devs []report.FleetDeviceJSON) {
-	sort.Slice(devs, func(i, j int) bool {
-		if devs[i].TotalG != devs[j].TotalG {
-			return devs[i].TotalG > devs[j].TotalG
-		}
-		return devs[i].ID < devs[j].ID
-	})
+	return f.Finish(len(distinct)), nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -56,6 +57,22 @@ func TestFoldRefusals(t *testing.T) {
 	zero := Partial{Node: "http://a", ShardsTotal: 0, Epoch: 1}
 	if _, err := Fold(fleet.Query{}, []Partial{zero}); err == nil {
 		t.Error("zero shard count folded")
+	}
+
+	// A peer's shard count sizes the fold's index, so an implausible one
+	// must be refused before anything is allocated by it.
+	for _, total := range []int{1 << 62, 1 << 34, fleet.MaxShards + 1} {
+		huge := Partial{Node: "http://a", ShardsTotal: total, Epoch: 1}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Fold(fleet.Query{}, []Partial{huge})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "implausible shard count") {
+			t.Errorf("shards_total %d: err = %v, want implausible shard count", total, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("shards_total %d: refusing it allocated %d bytes", total, grew)
+		}
 	}
 }
 

@@ -379,7 +379,8 @@ func (b *batch) appendSpec(s *scenario.Spec, bomOnly bool) {
 }
 
 // scalarEmbodied is the fleet-shaped oracle: the BoM-only scalar path
-// (Device → Embodied → Total), matching fleet's embodiedOf.
+// (Device → Embodied → Total), the fallback for items the columns
+// cannot price.
 func scalarEmbodied(s *scenario.Spec) (float64, error) {
 	d, err := s.Device()
 	if err != nil {

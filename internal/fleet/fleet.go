@@ -34,7 +34,7 @@ import (
 	"time"
 
 	"act/internal/acterr"
-	"act/internal/core"
+	"act/internal/colbatch"
 	"act/internal/fab"
 	"act/internal/faultinject"
 	"act/internal/intensity"
@@ -254,6 +254,11 @@ func TraceResolver(traces map[string]intensity.Trace, fallback IntensityResolver
 		return ci, nil
 	}
 }
+
+// MaxShards bounds a plausible shard count. Restore refuses a snapshot
+// that claims more, and the cluster fold a partial that does, before
+// sizing anything by the claim.
+const MaxShards = 1 << 16
 
 // Config tunes a Registry. Zero fields take the documented defaults.
 type Config struct {
@@ -508,11 +513,12 @@ func (t *bomTable) forSpec(spec *scenario.Spec) (*bomEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	embodiedG, err := embodiedOf(spec)
-	if err != nil {
+	// Priced by the columnar engine, as Recompute prices every BoM.
+	var embodiedG [1]float64
+	if err := colbatch.EmbodiedTotals([]*scenario.Spec{spec}, embodiedG[:]); err != nil {
 		return nil, err
 	}
-	return newEntry(spec, specJSON, key, node, embodiedG), nil
+	return newEntry(spec, specJSON, key, node, embodiedG[0]), nil
 }
 
 // newEntry assembles an unretained entry.
@@ -579,19 +585,6 @@ func (t *bomTable) reset(entries map[string]*bomEntry) {
 	t.mu.Lock()
 	t.byKey = entries
 	t.mu.Unlock()
-}
-
-// embodiedOf evaluates the BoM's full embodied footprint (ECF).
-func embodiedOf(spec *scenario.Spec) (float64, error) {
-	d, err := spec.Device()
-	if err != nil {
-		return 0, err
-	}
-	br, err := core.Embodied(d)
-	if err != nil {
-		return 0, err
-	}
-	return br.Total().Grams(), nil
 }
 
 // dateFormat is the wire date form (RFC 3339 is also accepted on input).

@@ -77,18 +77,27 @@ func (r *Registry) ShardAggregates(groupBy string) []ShardAggregate {
 			EmbodiedShareG: sh.agg.embodiedShareG,
 			OperationalG:   sh.agg.operationalG,
 		}
-		switch groupBy {
-		case "region":
-			sa.ByRegion = groupSlots(sh.byRegion)
-		case "node":
-			sa.ByNode = groupSlots(sh.byNode)
-		case "class":
-			sa.ByClass = groupSlots(sh.byClass)
+		if slots := sa.slotsFor(groupBy); slots != nil {
+			*slots = groupSlots(sh.dim(groupBy))
 		}
 		out = append(out, sa)
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// slotsFor points at the aggregate's slot list for a group-by
+// dimension, nil for "".
+func (sa *ShardAggregate) slotsFor(groupBy string) *[]GroupSlot {
+	switch groupBy {
+	case "region":
+		return &sa.ByRegion
+	case "node":
+		return &sa.ByNode
+	case "class":
+		return &sa.ByClass
+	}
+	return nil
 }
 
 func groupSlots(dim map[string]*groupAgg) []GroupSlot {

@@ -1,6 +1,6 @@
 // Full recomputation. The incremental totals stay exact as long as the
-// model tables behind core.Embodied are the ones the contributions were
-// priced under; when the tables change (a new binary with a revised
+// model tables behind the embodied pricing are the ones the contributions
+// were priced under; when the tables change (a new binary with a revised
 // Table 9, say), every embodied figure in the registry is stale at once.
 // Recompute re-evaluates each distinct BoM exactly once — fanned out
 // through parsweep — reprices every record, and rebuilds all shard totals

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"act/internal/acterr"
+	"act/internal/core"
 	"act/internal/report"
 	"act/internal/scenario"
 	"act/internal/units"
@@ -155,6 +156,20 @@ func (f *refFleet) Upsert(dev Device) (bool, error) {
 		f.release(old.key)
 	}
 	return existed, nil
+}
+
+// embodiedOf prices a BoM with the scalar model, the oracle the
+// registry's columnar pricing is checked against.
+func embodiedOf(spec *scenario.Spec) (float64, error) {
+	d, err := spec.Device()
+	if err != nil {
+		return 0, err
+	}
+	br, err := core.Embodied(d)
+	if err != nil {
+		return 0, err
+	}
+	return br.Total().Grams(), nil
 }
 
 func (f *refFleet) release(key string) {

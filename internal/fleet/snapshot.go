@@ -142,7 +142,7 @@ func (r *Registry) Restore(rd io.Reader) (stale bool, err error) {
 	if d.err != nil {
 		return false, fmt.Errorf("fleet: restore: %w", d.err)
 	}
-	if shardCount == 0 || shardCount > 1<<16 {
+	if shardCount == 0 || shardCount > MaxShards {
 		return false, fmt.Errorf("fleet: restore: implausible shard count %d", shardCount)
 	}
 
@@ -238,24 +238,6 @@ func decodeGroups(d *reader) (map[string]*groupAgg, error) {
 		out[k] = g
 	}
 	return out, nil
-}
-
-// Checkpoint snapshots to w and then, still under the registry lock, runs
-// reset — the hook the serving layer uses to truncate the write-ahead log
-// atomically with the snapshot that supersedes it. No operation can slip
-// between the two.
-func (r *Registry) Checkpoint(w io.Writer, reset func() error) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.snapshotLocked(w); err != nil {
-		return err
-	}
-	if reset != nil {
-		if err := reset(); err != nil {
-			return fmt.Errorf("fleet: checkpoint reset: %w", err)
-		}
-	}
-	return nil
 }
 
 // CheckpointFunc runs fn with the registry write-locked, handing it a

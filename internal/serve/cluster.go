@@ -34,8 +34,6 @@ type ClusterConfig struct {
 	Self string
 	// Peers is the full static membership, self included.
 	Peers []string
-	// Vnodes is the consistent-hash replication factor (0 = default).
-	Vnodes int
 }
 
 // EnableCluster switches the server into cluster mode. Call it before
@@ -45,7 +43,6 @@ func (s *Server) EnableCluster(cc ClusterConfig) error {
 	c, err := cluster.New(cluster.Config{
 		Self:             cc.Self,
 		Peers:            cc.Peers,
-		Vnodes:           cc.Vnodes,
 		Registry:         s.fleet,
 		RetryAttempts:    s.cfg.RetryAttempts,
 		BreakerThreshold: s.cfg.BreakerThreshold,
@@ -145,23 +142,12 @@ func (s *Server) handleClusterPartial(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	topK := 0
-	if v := r.URL.Query().Get("top"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "top",
-				fmt.Sprintf("cannot parse top-K %q", v))
-			return
-		}
-		topK = n
-	}
-	groupBy := r.URL.Query().Get("by")
-	if err := (fleet.Query{GroupBy: groupBy}).Validate(); err != nil {
-		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "by",
-			fmt.Sprintf("unknown group dimension %q", groupBy))
+	q, err := bindFleetQuery(r.URL.Query())
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
-	p, err := c.LocalPartial(topK, groupBy)
+	p, err := c.LocalPartial(q.TopK, q.GroupBy)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -195,13 +181,14 @@ func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// clusterRecomputeBody decodes the prepare/commit/abort control message.
-func clusterRecomputeBody(r *http.Request) (epoch, fingerprint uint64, err error) {
+// clusterRecomputeBody decodes the prepare/commit/abort control message,
+// a few dozen bytes; the read is bounded like the export-config PUT.
+func clusterRecomputeBody(w http.ResponseWriter, r *http.Request) (epoch, fingerprint uint64, err error) {
 	var msg struct {
 		Epoch       uint64 `json:"epoch"`
 		Fingerprint uint64 `json:"fingerprint"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&msg); err != nil {
 		return 0, 0, err
 	}
 	return msg.Epoch, msg.Fingerprint, nil
@@ -214,7 +201,7 @@ func (s *Server) handleClusterPrepare(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	epoch, fp, err := clusterRecomputeBody(r)
+	epoch, fp, err := clusterRecomputeBody(w, r)
 	if err != nil {
 		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "", err.Error())
 		return
@@ -232,7 +219,7 @@ func (s *Server) handleClusterCommit(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	epoch, _, err := clusterRecomputeBody(r)
+	epoch, _, err := clusterRecomputeBody(w, r)
 	if err != nil {
 		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "", err.Error())
 		return
@@ -250,7 +237,7 @@ func (s *Server) handleClusterAbort(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	epoch, _, err := clusterRecomputeBody(r)
+	epoch, _, err := clusterRecomputeBody(w, r)
 	if err != nil {
 		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "", err.Error())
 		return

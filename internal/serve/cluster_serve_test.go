@@ -186,3 +186,52 @@ func TestClusterPeerBreakerMetrics(t *testing.T) {
 		t.Error("actd_cluster_scatter_total did not count full outcomes")
 	}
 }
+
+// TestClusterRouteErrors pins the private inter-node routes to the shared
+// validation: the partial route binds top= and by= like every public
+// fleet route (400s rooted at query.*), and the recompute control
+// messages are read through a 64 KiB bound.
+func TestClusterRouteErrors(t *testing.T) {
+	_, _, urls := newTestCluster(t, 1, Config{})
+	oversized := `{"epoch":1` + strings.Repeat(" ", 1<<16) + `}`
+	cases := []struct {
+		name, method, path, body string
+		wantCode                 int
+		wantField                string
+	}{
+		{"partial-top-not-a-number", "GET", "/v1/cluster/partial?top=x", "", http.StatusBadRequest, "query.top"},
+		{"partial-top-negative", "GET", "/v1/cluster/partial?top=-1", "", http.StatusBadRequest, "query.top"},
+		{"partial-by-unknown", "GET", "/v1/cluster/partial?by=color", "", http.StatusBadRequest, "query.by"},
+		{"abort-oversized-body", "POST", "/v1/cluster/recompute/abort", oversized, http.StatusBadRequest, ""},
+		{"prepare-oversized-body", "POST", "/v1/cluster/recompute/prepare", oversized, http.StatusBadRequest, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			req, err := http.NewRequest(c.method, urls[0]+c.path, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := readAll(t, resp)
+			if resp.StatusCode != c.wantCode {
+				t.Fatalf("status = %d, want %d (body %.200s)", resp.StatusCode, c.wantCode, data)
+			}
+			e := decodeError(t, []byte(data))
+			if e.Code != codeInvalidArgument || e.Field != c.wantField {
+				t.Errorf("error = %s at %q, want %s at %q", e.Code, e.Field, codeInvalidArgument, c.wantField)
+			}
+		})
+	}
+
+	// The bound leaves real control messages alone.
+	resp, err := http.Post(urls[0]+"/v1/cluster/recompute/abort", "application/json", strings.NewReader(`{"epoch":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Errorf("abort = %d, want 200 (body %.200s)", resp.StatusCode, data)
+	}
+}
