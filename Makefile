@@ -75,7 +75,9 @@ cover:
 # boundary's direct spec walk against the strict JSON round trip, and the
 # cluster fold over peer-supplied partial bytes (its new inputs are
 # multi-KB partial arrays, so minimization is capped at 100 runs lest it
-# eat the whole budget).
+# eat the whole budget), and the Pareto mask's 2-D and pairwise kernels
+# against the reference scan on arbitrary rows, NaN and ±Inf included
+# (capped the same way: uncapped, one minimization stalled it at 3 s).
 verify-chaos:
 	$(GO) vet -tags faultinject ./...
 	$(GO) test -race -tags faultinject ./...
@@ -88,6 +90,7 @@ verify-chaos:
 	$(GO) test -run FuzzScriptEval -fuzz FuzzScriptEval -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzSpecFromValue -fuzz FuzzSpecFromValue -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzPartialFold -fuzz FuzzPartialFold -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster/
+	$(GO) test -run FuzzParetoMask -fuzz FuzzParetoMask -fuzztime 10s -fuzzminimizetime 100x ./internal/dse/
 
 # Crash-consistency harness: a seeded 200+-operation trace against the
 # MemFS-backed fleet store, power-cycled after every single filesystem

@@ -26,7 +26,7 @@ func runExport(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("act export", flag.ContinueOnError)
 	var (
 		file   = fs.String("file", "", "path to an NDJSON fleet file (default: stdin)")
-		shards = fs.Int("shards", 0, "registry shard count (0 = default 64)")
+		shards = shardCountFlag(fs)
 		at     = fs.String("at", "", "sample timestamp, RFC3339 (default: now)")
 	)
 	if err := fs.Parse(args); err != nil {

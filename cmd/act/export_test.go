@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -50,5 +53,24 @@ func TestExportBadTimestamp(t *testing.T) {
 	err := runExport([]string{"-at", "yesterday"}, strings.NewReader(""), &out)
 	if err == nil || !strings.Contains(err.Error(), "parsing -at") {
 		t.Fatalf("err = %v, want a -at parse error", err)
+	}
+}
+
+// TestShardCountBound: a -shards count above fleet.MaxShards is a usage
+// error on both fleet subcommands, refused before a registry whose
+// snapshot could never be restored is built.
+func TestShardCountBound(t *testing.T) {
+	for name, run := range map[string]func([]string, io.Reader, io.Writer) error{
+		"fleet": runFleet, "export": runExport,
+	} {
+		err := run([]string{"-shards", strconv.Itoa(fleet.MaxShards + 1)}, strings.NewReader(""), io.Discard)
+		want := fmt.Sprintf("invalid value %q for flag -shards: above the maximum of %d shards",
+			strconv.Itoa(fleet.MaxShards+1), fleet.MaxShards)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+		if err := run([]string{"-shards", "0x10"}, strings.NewReader(""), io.Discard); err != nil {
+			t.Errorf("%s: -shards 0x10: %v", name, err)
+		}
 	}
 }

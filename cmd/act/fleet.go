@@ -24,6 +24,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -38,7 +39,7 @@ func runFleet(args []string, stdin io.Reader, stdout io.Writer) error {
 		file    = fs.String("file", "", "path to an NDJSON fleet file (default: stdin)")
 		top     = fs.Int("top", 0, "include the K largest per-device emitters")
 		by      = fs.String("by", "", "add per-group rows: region, node or class")
-		shards  = fs.Int("shards", 0, "registry shard count (0 = default 64)")
+		shards  = shardCountFlag(fs)
 		peers   = fs.String("peers", "", "comma-separated actd member URLs: fold a running cluster instead of a local file")
 		timeout = fs.Duration("timeout", 30*time.Second, "overall deadline for the -peers gather")
 	)
@@ -88,4 +89,23 @@ func runFleet(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 	return report.Encode(stdout, doc)
+}
+
+// shardCountFlag defines -shards on fs. A count above fleet.MaxShards is
+// refused as a malformed value, usage and all: a registry that large
+// would checkpoint snapshots it could never restore.
+func shardCountFlag(fs *flag.FlagSet) *int {
+	n := new(int)
+	fs.Func("shards", "registry shard `count` (0 = default 64)", func(s string) error {
+		v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err != nil {
+			return err.(*strconv.NumError).Err
+		}
+		if v > fleet.MaxShards {
+			return fmt.Errorf("above the maximum of %d shards", fleet.MaxShards)
+		}
+		*n = int(v)
+		return nil
+	})
+	return n
 }

@@ -73,11 +73,13 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"act/internal/export"
+	"act/internal/fleet"
 	"act/internal/serve"
 )
 
@@ -94,7 +96,7 @@ func main() {
 		retries    = flag.Int("retries", 0, "attempts per request on transient faults, first try included (0 = default 3, 1 disables retries)")
 		brkThresh  = flag.Int("breaker-threshold", 0, "consecutive 5xx before a handler's breaker opens (0 = default 5, negative disables)")
 		brkOpenFor = flag.Duration("breaker-open", 0, "how long an open breaker rejects before probing (0 = default 5s)")
-		flShards   = flag.Int("fleet-shards", 0, "fleet registry shard count (0 = default 64)")
+		flShards   = shardCountFlag("fleet-shards", "fleet registry shard `count` (0 = default 64)")
 		flSnapshot = flag.String("fleet-snapshot", "", "fleet snapshot path (empty = in-memory fleet)")
 		flWAL      = flag.String("fleet-wal", "", "fleet write-ahead log directory (empty = in-memory fleet)")
 		flSegBytes = flag.Int64("fleet-wal-segment-bytes", 0, "rotate WAL segments past this size (0 = default 4 MiB)")
@@ -149,6 +151,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "actd:", err)
 		os.Exit(1)
 	}
+}
+
+// shardCountFlag defines an int flag that refuses a count above
+// fleet.MaxShards as a malformed value (usage and exit status 2): a
+// registry that large would checkpoint snapshots it could never restore.
+func shardCountFlag(name, usage string) *int {
+	n := new(int)
+	flag.Func(name, usage, func(s string) error {
+		v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err != nil {
+			return err.(*strconv.NumError).Err
+		}
+		if v > fleet.MaxShards {
+			return fmt.Errorf("above the maximum of %d shards", fleet.MaxShards)
+		}
+		*n = int(v)
+		return nil
+	})
+	return n
 }
 
 // exportConfig carries the -export-* flags into run.

@@ -2,9 +2,10 @@
 // summary document out, bit for bit. Partial carries the verbatim
 // running state of every shard a node owns. Fold checks what only a
 // gather can get wrong — members disagreeing on the shard count or the
-// recompute epoch, shards out of range or claimed twice — and then hands
-// the gathered shards, in global index order, to the registry's own
-// summary fold (fleet.Fold). Because each shard's floats are the shard's
+// recompute epoch, shards out of range or claimed twice, values that are
+// not finite or sum past the float range — and then hands the gathered
+// shards, in global index order, to the registry's own summary fold
+// (fleet.Fold). Because each shard's floats are the shard's
 // own running totals — not re-derived — and the fold visits them in the
 // same order the single registry would, the folded document is
 // byte-identical to what one registry holding the whole fleet serves.
@@ -14,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"act/internal/faultinject"
 	"act/internal/fleet"
@@ -122,5 +124,34 @@ func Fold(q fleet.Query, partials []Partial) (report.FleetSummaryJSON, error) {
 		}
 		f.AddTop(p.Top)
 	}
-	return f.Finish(len(distinct)), nil
+	doc := f.Finish(len(distinct))
+	// A non-finite peer value makes its sum non-finite, and finite values
+	// can still overflow (two shards of 1.7e308 sum to +Inf), so checking
+	// the folded document covers both.
+	ok := finite(doc.EmbodiedTotalG, doc.EmbodiedShareG, doc.OperationalG, doc.TotalG)
+	for _, g := range doc.Groups {
+		ok = ok && finite(g.EmbodiedShareG, g.OperationalG, g.TotalG)
+	}
+	for _, d := range doc.Top {
+		ok = ok && finite(d.EmbodiedG, d.EmbodiedShareG, d.OperationalG, d.TotalG)
+	}
+	if !ok {
+		return report.FleetSummaryJSON{}, errNonFinite
+	}
+	return doc, nil
+}
+
+// errNonFinite refuses a fold holding a value outside the float range,
+// reported by a peer or reached by summing: no JSON document can carry
+// one, so such a fold must never reach a response.
+var errNonFinite = errors.New("cluster: fold: a peer value or sum is not finite")
+
+// finite reports whether every value is neither NaN nor ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

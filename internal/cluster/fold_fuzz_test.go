@@ -81,7 +81,7 @@ func gather(tb testing.TB, members []*Cluster, q fleet.Query) []Partial {
 
 // FuzzPartialFold feeds Fold peer-supplied partial bytes. Whatever the
 // bytes, Fold must not panic, and a document it does fold must be
-// well-formed. The seeds are real partials of one fleet split across 1 to
+// well-formed and encode. The seeds are real partials of one fleet split across 1 to
 // 3 members; for any input that decodes to one of those gathers, the
 // folded document must equal the whole registry's Query bytes.
 func FuzzPartialFold(f *testing.F) {
@@ -117,6 +117,8 @@ func FuzzPartialFold(f *testing.F) {
 	}
 	f.Add([]byte(`[{"node":"a","shards_total":4611686018427387904}]`), 0, "")
 	f.Add([]byte(`[{"node":"a","shards_total":4,"shards":[{"index":-1}]}]`), 1, "region")
+	f.Add([]byte(`[{"node":"a","shards_total":4,"shards":[{"index":0,"embodied_g":1.7e308},{"index":1,"embodied_g":1.7e308}]}]`), 0, "")
+	f.Add([]byte(`[{"node":"a","shards_total":4,"shards":[{"index":0,"by_node":[{"key":"7nm","operational_g":1.7e308}]},{"index":1,"by_node":[{"key":"7nm","operational_g":1.7e308}]}]}]`), 0, "node")
 
 	f.Fuzz(func(t *testing.T, data []byte, top int, by string) {
 		var partials []Partial
@@ -127,6 +129,12 @@ func FuzzPartialFold(f *testing.F) {
 		doc, err := Fold(q, partials)
 		if err != nil {
 			return
+		}
+		// Every folded document must encode: a fold that cannot be sent
+		// would leave serve a committed 200 with no body to write.
+		var got bytes.Buffer
+		if err := report.Encode(&got, doc); err != nil {
+			t.Fatalf("folded document does not encode: %v", err)
 		}
 		if len(doc.Top) > q.TopK {
 			t.Fatalf("top has %d entries for top=%d", len(doc.Top), q.TopK)
@@ -149,10 +157,6 @@ func FuzzPartialFold(f *testing.F) {
 		want, ok := oracle[fmt.Sprintf("%d|%s|%s", q.TopK, q.GroupBy, canon)]
 		if !ok {
 			return
-		}
-		var got bytes.Buffer
-		if err := report.Encode(&got, doc); err != nil {
-			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("fold of a real split diverges from Registry.Query\n got: %s\nwant: %s", got.Bytes(), want)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,6 +58,38 @@ func TestFoldRefusals(t *testing.T) {
 	zero := Partial{Node: "http://a", ShardsTotal: 0, Epoch: 1}
 	if _, err := Fold(fleet.Query{}, []Partial{zero}); err == nil {
 		t.Error("zero shard count folded")
+	}
+
+	// No JSON document can carry a non-finite value, so a fold refuses
+	// one a peer reports and sums that overflow the float range.
+	big := 1.7e308
+	nonFinite := map[string][]Partial{
+		"+Inf shard": {{Node: "http://a", ShardsTotal: 4, Epoch: 1,
+			Shards: []fleet.ShardAggregate{mkShard(0, 1, math.Inf(1), 1, 1)}}},
+		"NaN shard": {{Node: "http://a", ShardsTotal: 4, Epoch: 1,
+			Shards: []fleet.ShardAggregate{mkShard(0, 1, 1, 1, math.NaN())}}},
+		"-Inf top device": {{Node: "http://a", ShardsTotal: 4, Epoch: 1,
+			Shards: []fleet.ShardAggregate{mkShard(0, 1, 1, 1, 1)},
+			Top:    []report.FleetDeviceJSON{{ID: "d", TotalG: math.Inf(-1)}}}},
+		"overflowing embodied sum": {
+			{Node: "http://a", ShardsTotal: 4, Epoch: 1, Shards: []fleet.ShardAggregate{mkShard(0, 1, big, 1, 1)}},
+			{Node: "http://b", ShardsTotal: 4, Epoch: 1, Shards: []fleet.ShardAggregate{mkShard(1, 1, big, 1, 1)}},
+		},
+		"overflowing total": {
+			{Node: "http://a", ShardsTotal: 4, Epoch: 1, Shards: []fleet.ShardAggregate{mkShard(0, 1, 1, big, big)}},
+		},
+	}
+	for name, ps := range nonFinite {
+		if _, err := Fold(fleet.Query{TopK: 1}, ps); !errors.Is(err, errNonFinite) {
+			t.Errorf("%s: err = %v, want errNonFinite", name, err)
+		}
+	}
+	overGroup := Partial{Node: "http://a", ShardsTotal: 4, Epoch: 1, Shards: []fleet.ShardAggregate{
+		{Index: 0, Devices: 1, ByRegion: []fleet.GroupSlot{{Key: "europe", Devices: 1, EmbodiedShareG: big}}},
+		{Index: 1, Devices: 1, ByRegion: []fleet.GroupSlot{{Key: "europe", Devices: 1, EmbodiedShareG: big}}},
+	}}
+	if _, err := Fold(fleet.Query{GroupBy: "region"}, []Partial{overGroup}); !errors.Is(err, errNonFinite) {
+		t.Errorf("overflowing group: err = %v, want errNonFinite", err)
 	}
 
 	// A peer's shard count sizes the fold's index, so an implausible one

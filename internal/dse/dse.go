@@ -75,7 +75,7 @@ func evalMatrix(cands []metrics.Candidate, objectives []Objective) [][]float64 {
 	for i, c := range cands {
 		row := make([]float64, len(objectives))
 		for j, o := range objectives {
-			row[j] = saneEval(o, c)
+			row[j] = o.Eval(c)
 		}
 		vals[i] = row
 	}
@@ -87,10 +87,8 @@ func evalMatrix(cands []metrics.Candidate, objectives []Objective) [][]float64 {
 // objectives) are all retained: none dominates the other. NaN objective
 // values are treated as +Inf, so they lose like any other invalid point.
 //
-// Each objective is evaluated exactly once per candidate. The 2-objective
-// case runs in O(n log n) via a sort; higher dimensions fall back to
-// pairwise dominance over the precomputed matrix, parallelized across
-// candidates for large inputs.
+// Each objective is evaluated exactly once per candidate; the dominance
+// work is ParetoMask's.
 func ParetoFrontier(cands []metrics.Candidate, objectives []Objective) ([]metrics.Candidate, error) {
 	return ParetoFrontierCtx(context.Background(), cands, objectives)
 }
@@ -107,18 +105,9 @@ func ParetoFrontierCtx(ctx context.Context, cands []metrics.Candidate, objective
 	if len(objectives) < 2 {
 		return nil, fmt.Errorf("dse: a Pareto frontier needs at least 2 objectives, got %d", len(objectives))
 	}
-	if err := ctx.Err(); err != nil {
+	keep, err := ParetoMask(ctx, evalMatrix(cands, objectives))
+	if err != nil {
 		return nil, err
-	}
-	vals := evalMatrix(cands, objectives)
-	var keep []bool
-	if len(objectives) == 2 {
-		keep = pareto2D(vals)
-	} else {
-		var err error
-		if keep, err = paretoNDCtx(ctx, vals); err != nil {
-			return nil, err
-		}
 	}
 	var out []metrics.Candidate
 	for i, k := range keep {
@@ -127,6 +116,33 @@ func ParetoFrontierCtx(ctx context.Context, cands []metrics.Candidate, objective
 		}
 	}
 	return out, nil
+}
+
+// ParetoMask marks the non-dominated rows of an n×k matrix (k ≥ 1, lower
+// is better in every column), the repository's one dominance kernel: the
+// /v1/sweep frontier and the script builtin pareto both run on it. Rows
+// equal in every column are all kept; with one column the kept rows are
+// the minima. NaN entries are rewritten to +Inf in place, so a NaN loses
+// instead of surviving every comparison. Two columns take an O(n log n)
+// sort, any other width the pairwise scan; a done ctx returns ctx.Err().
+func ParetoMask(ctx context.Context, vals [][]float64) ([]bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for i, row := range vals {
+		if len(row) == 0 || len(row) != len(vals[0]) {
+			return nil, fmt.Errorf("dse: Pareto row %d has %d columns, row 0 has %d (need ≥ 1)", i, len(row), len(vals[0]))
+		}
+		for j, v := range row {
+			if math.IsNaN(v) {
+				row[j] = math.Inf(1)
+			}
+		}
+	}
+	if len(vals) > 0 && len(vals[0]) == 2 {
+		return pareto2D(vals), nil
+	}
+	return paretoNDCtx(ctx, vals)
 }
 
 // pareto2D marks the non-dominated rows of an n×2 matrix in O(n log n):
@@ -171,15 +187,10 @@ func pareto2D(vals [][]float64) []bool {
 // outweighs the O(n²) work.
 const paretoNDParallelCutoff = 512
 
-// paretoND marks the non-dominated rows of an n×k matrix by pairwise scan.
-// Each row's verdict is independent, so large inputs are checked in
-// parallel (each worker writes only its own keep[i]).
-func paretoND(vals [][]float64) []bool {
-	keep, _ := paretoNDCtx(context.Background(), vals)
-	return keep
-}
-
-// paretoNDCtx is paretoND with cancellation between per-candidate checks.
+// paretoNDCtx marks the non-dominated rows of an n×k matrix by pairwise
+// scan, with cancellation between per-row checks. Each row's verdict is
+// independent, so large inputs are checked in parallel (each worker
+// writes only its own keep[i]).
 func paretoNDCtx(ctx context.Context, vals [][]float64) ([]bool, error) {
 	n := len(vals)
 	dominatedRow := func(i int, row []float64) bool {

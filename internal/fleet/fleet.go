@@ -255,14 +255,15 @@ func TraceResolver(traces map[string]intensity.Trace, fallback IntensityResolver
 	}
 }
 
-// MaxShards bounds a plausible shard count. Restore refuses a snapshot
-// that claims more, and the cluster fold a partial that does, before
-// sizing anything by the claim.
+// MaxShards bounds a plausible shard count. New refuses a larger
+// Config.Shards, Restore a snapshot that claims more, and the cluster fold
+// a partial that does, before sizing anything by the claim.
 const MaxShards = 1 << 16
 
 // Config tunes a Registry. Zero fields take the documented defaults.
 type Config struct {
-	// Shards is the lock-domain count (default 64). A summary is O(Shards).
+	// Shards is the lock-domain count (default 64, at most MaxShards). A
+	// summary is O(Shards).
 	Shards int
 	// Resolver maps regions to operational intensity (default
 	// StaticRegions).
@@ -300,8 +301,14 @@ type Registry struct {
 	log WALAppender // nil until AttachWAL
 }
 
-// New builds an empty registry.
+// New builds an empty registry. It panics when cfg.Shards exceeds
+// MaxShards: such a registry would snapshot but never restore, so callers
+// that take the count from a user (actd's -fleet-shards, act's -shards)
+// refuse it first.
 func New(cfg Config) *Registry {
+	if cfg.Shards > MaxShards {
+		panic(fmt.Sprintf("fleet: %d shards exceeds MaxShards (%d)", cfg.Shards, MaxShards))
+	}
 	cfg = cfg.withDefaults()
 	r := &Registry{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	for i := range r.shards {

@@ -480,3 +480,18 @@ func TestDedupSharesEvaluation(t *testing.T) {
 		t.Fatalf("devices=%d distinct=%d, want 1000/1", doc.Devices, doc.DistinctBoMs)
 	}
 }
+
+// TestNewRefusesTooManyShards: a registry of more than MaxShards shards
+// would checkpoint a snapshot Restore refuses, so New refuses the count
+// before allocating anything by it.
+func TestNewRefusesTooManyShards(t *testing.T) {
+	if got := New(Config{Shards: 8}).ShardCount(); got != 8 {
+		t.Fatalf("shard count = %d, want 8", got)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "exceeds MaxShards") {
+			t.Fatalf("New(MaxShards+1) recovered %v, want a MaxShards refusal", r)
+		}
+	}()
+	New(Config{Shards: MaxShards + 1})
+}

@@ -86,7 +86,9 @@ func UseCase(m Metric) (string, error) {
 
 // Eval computes the metric value for a candidate in canonical units
 // (grams, joules, seconds, mm²). Values are only meaningful relative to
-// other candidates under the same metric; lower is better.
+// other candidates under the same metric; lower is better. A value that
+// is not finite (a product that overflows, or a NaN input) is refused,
+// naming the candidate, since it could neither be ranked nor encoded.
 func Eval(m Metric, c Candidate) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
@@ -95,21 +97,27 @@ func Eval(m Metric, c Candidate) (float64, error) {
 	d := c.Delay.Seconds()
 	cc := c.Embodied.Grams()
 	a := c.Area.MM2()
+	var v float64
 	switch m {
 	case EDP:
-		return e * d, nil
+		v = e * d
 	case EDAP:
-		return e * d * a, nil
+		v = e * d * a
 	case CDP:
-		return cc * d, nil
+		v = cc * d
 	case CEP:
-		return cc * e, nil
+		v = cc * e
 	case C2EP:
-		return cc * cc * e, nil
+		v = cc * cc * e
 	case CE2P:
-		return cc * e * e, nil
+		v = cc * e * e
+	default:
+		return 0, fmt.Errorf("metrics: unknown metric %q", m)
 	}
-	return 0, fmt.Errorf("metrics: unknown metric %q", m)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("metrics: candidate %q: %s is %v, not a finite value", c.Name, m, v)
+	}
+	return v, nil
 }
 
 // Scored pairs a candidate with its metric value.
@@ -164,7 +172,7 @@ func Normalized(m Metric, cs []Candidate, baseline string) ([]Scored, error) {
 	if !found {
 		return nil, fmt.Errorf("metrics: baseline candidate %q not present", baseline)
 	}
-	if base == 0 || math.IsInf(base, 0) || math.IsNaN(base) {
+	if base == 0 { // Eval already refused a non-finite one
 		return nil, fmt.Errorf("metrics: baseline %q has degenerate value %v", baseline, base)
 	}
 	out := make([]Scored, len(cs))

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -156,6 +157,32 @@ func TestNormalized(t *testing.T) {
 	}
 	if _, err := Normalized(CEP, []Candidate{candidate("z", 0, 0, 1, 1)}, "z"); err == nil {
 		t.Error("degenerate baseline (0): expected error")
+	}
+}
+
+// TestEvalRefusesNonFinite: a metric value that overflows, or a NaN
+// input, is refused naming the candidate, so Rank never orders an
+// undefined value and no caller encodes one.
+func TestEvalRefusesNonFinite(t *testing.T) {
+	huge := Candidate{Name: "huge", Embodied: units.Grams(1e308),
+		Energy: units.Joules(1e308), Delay: time.Second}
+	nan := Candidate{Name: "nan", Embodied: units.Grams(math.NaN()),
+		Energy: units.Joules(1), Delay: time.Second}
+	for _, tc := range []struct {
+		m    Metric
+		c    Candidate
+		want string
+	}{
+		{CEP, huge, `candidate "huge": CEP is +Inf`},
+		{EDAP, Candidate{Name: "z", Energy: units.Joules(1e308), Delay: 10 * time.Second}, `candidate "z": EDAP is NaN`},
+		{CDP, nan, `candidate "nan": CDP is NaN`},
+	} {
+		if _, err := Eval(tc.m, tc.c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s(%s): err = %v, want %q", tc.m, tc.c.Name, err, tc.want)
+		}
+	}
+	if _, err := Rank(CDP, []Candidate{candidate("ok", 1, 1, 1, 1), nan}); err == nil {
+		t.Error("Rank ranked a NaN candidate")
 	}
 }
 

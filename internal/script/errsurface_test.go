@@ -90,6 +90,9 @@ func TestDiagnosticCatalog(t *testing.T) {
 		{"pareto non-number field", `pareto([{"a": "x"}], ["a"])`, "number"},
 		{"rank unknown metric", `rank("BOGUS", [])`, "metric"},
 		{"rank bad candidate", `rank("CDP", [{"name": "x"}])`, "candidate"},
+		{"rank NaN candidate", "let big = pow(10, 308) * 10\n" +
+			`rank("CDP", [{"name": "ok", "embodied_g": 1, "energy_j": 1, "delay_s": 1}, {"name": "nan", "embodied_g": big - big, "energy_j": 1, "delay_s": 1}])`,
+			`candidate "nan": CDP is NaN`},
 		{"emit non-string name", "emit(1, 2)", "string"},
 		{"emit arity", `emit("x")`, "takes 2 argument(s), got 1"},
 	}

@@ -53,7 +53,7 @@ func (ctrlContinue) Error() string { return "continue outside loop" }
 const ctxCheckInterval = 1024
 
 // interp is one evaluation's state. It is single-goroutine; nothing here
-// needs locking, and the evaluator never spawns goroutines, so a cut-off
+// needs locking, and no goroutine outlives a host call, so a cut-off
 // program leaks none.
 type interp struct {
 	ctx      context.Context // budget-bounded context (outer + script timeout)

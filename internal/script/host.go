@@ -7,6 +7,7 @@ import (
 
 	"act/internal/acterr"
 	"act/internal/colbatch"
+	"act/internal/dse"
 	"act/internal/metrics"
 	"act/internal/scenario"
 	"act/internal/units"
@@ -170,7 +171,8 @@ func hostEvalError(pos Pos, err error) error {
 
 // hostPareto is pareto(points, fields) → the non-dominated subset of
 // points (maps) under lower-is-better on every named numeric field,
-// preserving input order.
+// preserving input order. Dominance is dse.ParetoMask's, the kernel
+// behind /v1/sweep's frontier, so a NaN field loses like +Inf.
 func hostPareto(in *interp, pos Pos, args []Value) (Value, error) {
 	if err := argCount("pareto", pos, args, 2, 2); err != nil {
 		return nil, err
@@ -219,27 +221,16 @@ func hostPareto(in *interp, pos Pos, args []Value) (Value, error) {
 		}
 		coords[i] = row
 	}
-	dominates := func(a, b []float64) bool {
-		strict := false
-		for j := range a {
-			if a[j] > b[j] {
-				return false
-			}
-			if a[j] < b[j] {
-				strict = true
-			}
+	keep, err := dse.ParetoMask(in.ctx, coords)
+	if err != nil { // a done context: checkCtx says whose deadline it was
+		if cerr := in.checkCtx(); cerr != nil {
+			return nil, cerr
 		}
-		return strict
+		return nil, err
 	}
 	out := &List{}
-	for i := 0; i < n; i++ {
-		dominated := false
-		for j := 0; j < n && !dominated; j++ {
-			if i != j && dominates(coords[j], coords[i]) {
-				dominated = true
-			}
-		}
-		if !dominated {
+	for i, k := range keep {
+		if k {
 			out.Elems = append(out.Elems, pts.Elems[i])
 		}
 	}
@@ -284,37 +275,18 @@ func hostRank(in *interp, pos Pos, args []Value) (Value, error) {
 		if c.Name == "" {
 			return nil, errAt(pos, "rank candidate [%d] needs a \"name\" string", i)
 		}
-		num := func(field string) (float64, error) {
-			v, ok := cm.Get(field)
-			if !ok {
-				return 0, nil
+		var f [4]float64 // embodied_g, energy_j, delay_s, area_mm2; absent = 0
+		for k, field := range [...]string{"embodied_g", "energy_j", "delay_s", "area_mm2"} {
+			if v, ok := cm.Get(field); ok {
+				if f[k], ok = v.(float64); !ok {
+					return nil, errAt(pos, "rank candidate [%d] field %q is a %s, need a number", i, field, typeName(v))
+				}
 			}
-			f, ok := v.(float64)
-			if !ok {
-				return 0, errAt(pos, "rank candidate [%d] field %q is a %s, need a number", i, field, typeName(v))
-			}
-			return f, nil
 		}
-		eg, err := num("embodied_g")
-		if err != nil {
-			return nil, err
-		}
-		ej, err := num("energy_j")
-		if err != nil {
-			return nil, err
-		}
-		ds, err := num("delay_s")
-		if err != nil {
-			return nil, err
-		}
-		am, err := num("area_mm2")
-		if err != nil {
-			return nil, err
-		}
-		c.Embodied = units.Grams(eg)
-		c.Energy = units.Joules(ej)
-		c.Delay = time.Duration(ds * float64(time.Second))
-		c.Area = units.MM2(am)
+		c.Embodied = units.Grams(f[0])
+		c.Energy = units.Joules(f[1])
+		c.Delay = time.Duration(f[2] * float64(time.Second))
+		c.Area = units.MM2(f[3])
 		if err := c.Validate(); err != nil {
 			return nil, errAt(pos, "rank candidate [%d]: %v", i, err)
 		}

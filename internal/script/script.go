@@ -31,8 +31,8 @@
 // deadline propagated through context, and a call-depth cap. Exhausting
 // any of them aborts evaluation with a typed *acterr.BudgetError (the
 // `script_budget` wire code); everything else a broken program can do
-// surfaces as a *script.Error (the `invalid_script` wire code). The
-// evaluator never spawns goroutines, so a cut-off program leaks nothing.
+// surfaces as a *script.Error (the `invalid_script` wire code). No
+// goroutine outlives a host call, so a cut-off program leaks nothing.
 package script
 
 import (

@@ -260,6 +260,5 @@ func (s *Server) clusterSummary(w http.ResponseWriter, r *http.Request, c *clust
 		return
 	}
 	s.mClusterScatter.With("full").Add(1)
-	w.Header().Set("Content-Type", "application/json")
 	s.encodeBody(w, r, doc)
 }

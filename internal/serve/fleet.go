@@ -96,7 +96,6 @@ func (s *Server) handleFleetSummary(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	s.encodeBody(w, r, doc)
 }
 
@@ -156,17 +155,26 @@ func (s *Server) handleFleetRecompute(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	s.encodeBody(w, r, s.fleet.Summary())
 }
 
-// encodeBody writes a canonical result document onto a response whose
-// status line is already committed (implicitly 200 on first write). A
-// failure here cannot change the status anymore — it means the client went
-// away or the connection broke mid-body — so it is logged and counted
-// (actd_response_encode_errors_total) rather than discarded.
+// encodeBody answers 200 with a canonical result document. The document
+// is encoded before the status is committed, so one report.Encode refuses
+// (a non-finite total) answers a typed 500 rather than an empty 200. Both
+// that failure and a write failure (the client went away mid-body) are
+// logged and counted (actd_response_encode_errors_total).
 func (s *Server) encodeBody(w http.ResponseWriter, r *http.Request, doc any) {
-	if err := report.Encode(w, doc); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	err := report.Encode(buf, doc)
+	if err != nil {
+		s.writeErrorCode(w, r, http.StatusInternalServerError, codeInternal, "",
+			"encoding response: "+err.Error())
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		_, err = w.Write(buf.Bytes())
+	}
+	if err != nil {
 		s.mEncodeErrors.Inc()
 		s.log.Warn("response body encode failed",
 			"path", r.URL.Path,

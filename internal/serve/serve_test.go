@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"act/internal/report"
 	"act/internal/scenario"
 )
 
@@ -262,6 +264,7 @@ func TestSweepBadRequests(t *testing.T) {
 	cases := map[string]struct {
 		body      string
 		wantField string
+		wantMsg   string
 	}{
 		"unknown metric": {
 			body: `{"candidates": [{"name":"a","embodied_g":1,"energy_j":1,"delay_s":1}], "rank": ["XXX"]}`,
@@ -295,6 +298,18 @@ func TestSweepBadRequests(t *testing.T) {
 		"bad version": {
 			body: `{"version": 3, "candidates": [{"name":"a","embodied_g":1,"energy_j":1,"delay_s":1}], "rank": ["CDP"]}`,
 		},
+		// A Table 2 product that overflows can be neither ranked nor
+		// encoded, so it is the client's 400 at rank.
+		"overflowing CEP": {
+			body:      `{"candidates": [{"name":"a","embodied_g":1e308,"energy_j":1e308,"delay_s":1}, {"name":"b","embodied_g":1e308,"energy_j":1e308,"delay_s":1}], "rank": ["CEP"]}`,
+			wantField: "rank",
+			wantMsg:   `candidate "a": CEP is +Inf`,
+		},
+		"NaN EDAP": {
+			body:      `{"candidates": [{"name":"z","energy_j":1e308,"delay_s":10,"area_mm2":0}], "rank": ["EDAP"]}`,
+			wantField: "rank",
+			wantMsg:   `candidate "z": EDAP is NaN`,
+		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -302,10 +317,49 @@ func TestSweepBadRequests(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400; body %s", resp.StatusCode, body)
 			}
-			if e := decodeError(t, body); tc.wantField != "" && e.Field != tc.wantField {
+			e := decodeError(t, body)
+			if tc.wantField != "" && e.Field != tc.wantField {
 				t.Errorf("field = %q, want %q (error: %s)", e.Field, tc.wantField, e.Message)
 			}
+			if !strings.Contains(e.Message, tc.wantMsg) {
+				t.Errorf("message = %q, want it to contain %q", e.Message, tc.wantMsg)
+			}
 		})
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value encoding/json refuses answers a
+// typed 500 carrying the request id, never the promised status with an
+// empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	rec.Header().Set("X-Request-Id", "req-1")
+	writeJSON(rec, http.StatusOK, map[string]float64{"v": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body %q", rec.Code, rec.Body)
+	}
+	e := decodeError(t, rec.Body.Bytes())
+	if e.Code != codeInternal || e.RequestID != "req-1" || !strings.Contains(e.Message, "unsupported value: +Inf") {
+		t.Errorf("error = %+v", e)
+	}
+}
+
+// TestEncodeBodyFailure: a fleet document that cannot encode (an
+// overflowed total) answers a typed 500 and counts the failure; the
+// status is not committed until the body has encoded.
+func TestEncodeBodyFailure(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/v1/fleet/summary", nil)
+	s.encodeBody(rec, req, report.FleetSummaryJSON{Devices: 2, EmbodiedTotalG: math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body %q", rec.Code, rec.Body)
+	}
+	if e := decodeError(t, rec.Body.Bytes()); e.Code != codeInternal {
+		t.Errorf("code = %q, want %q", e.Code, codeInternal)
+	}
+	if got := s.mEncodeErrors.Value(); got != 1 {
+		t.Errorf("encode errors = %d, want 1", got)
 	}
 }
 

@@ -94,7 +94,8 @@ type Config struct {
 	// probing (default 5s).
 	BreakerOpenFor time.Duration
 
-	// FleetShards is the fleet registry's lock-domain count (default 64).
+	// FleetShards is the fleet registry's lock-domain count (default 64,
+	// at most fleet.MaxShards; New panics on more, as fleet.New does).
 	FleetShards int
 	// FleetResolver maps fleet device regions to operational grid
 	// intensity (default the paper's Table 6 averages).
@@ -504,12 +505,25 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return r.ResponseWriter.Write(p)
 }
 
-// writeJSON writes v as the response with the given status code.
+// writeJSON writes v as the response with the given status code. v is
+// encoded before the status is committed, so a value encoding/json
+// refuses (a non-finite float, say) answers a typed 500 instead of the
+// promised status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(errorResponse{Error: errorDetail{
+			Code:      codeInternal,
+			Message:   "encoding response: " + err.Error(),
+			RequestID: w.Header().Get("X-Request-Id"),
+		}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // handleHealthz is the liveness probe: 200 for as long as the process can
